@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combine import canonicalize
-from .corpus import CorpusError, load_corpus, sample_kshot, save_corpus
+from .corpus import CorpusError, load_corpus, sample_kshot, save_corpus, to_json
 from .detector import default_rules, detect_anaphors, evaluate_rules, load_rules
 from .distill import DropLog, export_records, generate_pseudo_labels, load_unlabeled_docs
 from .gateway import (
@@ -282,14 +282,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError("pass exactly one of --docs or --corpus")
     if args.corpus:
         report = evaluate_rules(load_corpus(args.corpus), rules)
-        payload = {
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-            "true_positives": report.true_positives,
-            "false_positives": report.false_positives,
-            "false_negatives": report.false_negatives,
-        }
+        payload = to_json(report, omit=("per_example",))
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     docs = load_unlabeled_docs(args.docs)

@@ -17,7 +17,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .gateway import Backend, DecodeMode, DecodeParams, Generation, Tokenizer
+from .gateway import (
+    Backend,
+    DecodeMode,
+    DecodeParams,
+    Generation,
+    Tokenizer,
+    complete_many,
+)
 from .gating import GatingDistribution
 from .prompts import Prompt, Template
 
@@ -266,18 +273,11 @@ def combine_kate_plus(
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     base_seed = decode.seed or 0
-    param_list = [decode.with_seed(base_seed + i) for i in range(n_samples)]
-    generations: list[Generation] = []
-    if parallelism <= 1:
-        generations = [backend.complete(kate_prompt.text, p) for p in param_list]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(parallelism, n_samples)) as pool:
-            futures = [
-                pool.submit(backend.complete, kate_prompt.text, p) for p in param_list
-            ]
-            generations = [f.result() for f in futures]
+    generations = complete_many(
+        backend,
+        [(kate_prompt.text, decode.with_seed(base_seed + i)) for i in range(n_samples)],
+        parallelism,
+    )
     predictions = [
         extract_prediction(gen, template, tokenizer, prompt_id=i)
         for i, gen in enumerate(generations)

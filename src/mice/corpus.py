@@ -13,15 +13,95 @@ for unlabeled data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import (
+    Any, Collection, Iterator, Optional, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
 
 class CorpusError(ValueError):
     """A corpus file or record violates the data contract."""
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def to_json(obj: Any, omit: Collection[str] = ()) -> Any:
+    """JSON-ready form of a value built from dataclasses.
+
+    A dataclass becomes a dict of its init fields (minus ``omit``, top
+    level only), an enum its value, a tuple or list a list, and a mapping
+    a dict with string keys. Serialize with ``sort_keys=True`` for stable
+    bytes.
+    """
+    kind = type(obj)
+    if kind in _SCALARS:
+        return obj
+    if kind is tuple or kind is list:
+        return [v if type(v) in _SCALARS else to_json(v) for v in obj]
+    if isinstance(obj, Mapping):
+        return {str(k): v if type(v) in _SCALARS else to_json(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return {
+            name: to_json(getattr(obj, name))
+            for name in _init_field_names(kind)
+            if name not in omit
+        }
+    return obj
+
+
+@lru_cache(maxsize=None)
+def _init_field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+@lru_cache(maxsize=None)
+def _init_field_types(cls: type) -> tuple[tuple[str, Any], ...]:
+    hints = get_type_hints(cls)
+    return tuple((name, hints[name]) for name in _init_field_names(cls))
+
+
+def from_json(tp: Any, value: Any) -> Any:
+    """Inverse of ``to_json`` for a value annotated with type ``tp``.
+
+    Every init field of a dataclass must be present; mapping keys are
+    converted back to the annotated key type.
+    """
+    if value is None:
+        return None
+    origin = get_origin(tp)
+    if origin in (Union, types.UnionType):
+        (inner,) = (a for a in get_args(tp) if a is not type(None))
+        return from_json(inner, value)
+    if origin is tuple:
+        item_type = get_args(tp)[0]
+        if item_type in _SCALARS:
+            return tuple(value)
+        return tuple(from_json(item_type, v) for v in value)
+    if origin in (dict, Mapping):
+        key_type, value_type = get_args(tp)
+        if key_type is str and value_type in _SCALARS:
+            return value
+        return {key_type(k): from_json(value_type, v) for k, v in value.items()}
+    if is_dataclass(tp):
+        return tp(
+            **{
+                name: from_json(field_type, value[name])
+                for name, field_type in _init_field_types(tp)
+            }
+        )
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .corpus import Dataset, Example, Span
+from .metrics import ScoreReport
 
 
 @dataclass(frozen=True)
@@ -57,32 +58,9 @@ def detect_anaphors(text: str, rules: RuleSet) -> list[Span]:
     return [Span.from_offsets(text, a, b) for a, b in accepted]
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    """Exact span-match scores for a detection run."""
-
-    precision: float
-    recall: float
-    f1: float
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int) -> "DetectionReport":
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
-        recall = tp / (tp + fn) if (tp + fn) else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if (precision + recall)
-            else 0.0
-        )
-        return cls(precision, recall, f1, tp, fp, fn)
-
-
 def evaluate_detection(
     predicted: Sequence[Span], gold: Sequence[Span]
-) -> DetectionReport:
+) -> ScoreReport:
     """Score one document's detections by exact span match.
 
     Duplicate offsets on either side count once. Swapping the arguments
@@ -90,14 +68,14 @@ def evaluate_detection(
     """
     predicted_set = {s.offsets() for s in predicted}
     gold_set = {s.offsets() for s in gold}
-    return DetectionReport.from_counts(
+    return ScoreReport.from_counts(
         tp=len(predicted_set & gold_set),
         fp=len(predicted_set - gold_set),
         fn=len(gold_set - predicted_set),
     )
 
 
-def evaluate_rules(dataset: Dataset, rules: RuleSet) -> DetectionReport:
+def evaluate_rules(dataset: Dataset, rules: RuleSet) -> ScoreReport:
     """Pool exact-match detection counts over every document in a dataset.
 
     Each example contributes its gold anaphor; a document with several
@@ -115,7 +93,7 @@ def evaluate_rules(dataset: Dataset, rules: RuleSet) -> DetectionReport:
         tp += len(predicted & gold)
         fp += len(predicted - gold)
         fn += len(gold - predicted)
-    return DetectionReport.from_counts(tp, fp, fn)
+    return ScoreReport.from_counts(tp, fp, fn)
 
 
 def detect_examples(
@@ -140,10 +118,5 @@ def load_rules(path: str | Path, case_sensitive: bool = False) -> RuleSet:
 
 def default_rules() -> RuleSet:
     """The built-in rule set shipped with the package."""
-    text = resources.files("mice").joinpath("data/default_rules.txt").read_text("utf-8")
-    patterns = tuple(
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-    return RuleSet(patterns=patterns)
+    with resources.as_file(resources.files("mice") / "data" / "default_rules.txt") as path:
+        return load_rules(path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
-from .corpus import CorpusError, Example, Span
+from .corpus import CorpusError, Example, Span, from_json, to_json
 from .detector import RuleSet, detect_examples
 from .gateway import Tokenizer, WordTokenizer
 
@@ -241,31 +241,6 @@ def generate_pseudo_labels(
     return records
 
 
-def record_to_dict(record: PseudoLabeledRecord) -> dict:
-    return {
-        "doc_id": record.doc_id,
-        "anaphor": {
-            "start": record.anaphor.start,
-            "end": record.anaphor.end,
-            "surface": record.anaphor.surface,
-        },
-        "tokens": list(record.tokens),
-        "tags": list(record.tags),
-        "confidences": list(record.confidences),
-    }
-
-
-def record_from_dict(payload: dict) -> PseudoLabeledRecord:
-    ana = payload["anaphor"]
-    return PseudoLabeledRecord(
-        doc_id=payload["doc_id"],
-        anaphor=Span(start=ana["start"], end=ana["end"], surface=ana["surface"]),
-        tokens=tuple(payload["tokens"]),
-        tags=tuple(payload["tags"]),
-        confidences=tuple(payload["confidences"]),
-    )
-
-
 def export_records(
     records: Sequence[PseudoLabeledRecord], path: str | Path, fmt: str
 ) -> None:
@@ -273,7 +248,7 @@ def export_records(
     path = Path(path)
     if fmt == "jsonl":
         body = "".join(
-            json.dumps(record_to_dict(r), sort_keys=True, ensure_ascii=False) + "\n"
+            json.dumps(to_json(r), sort_keys=True, ensure_ascii=False) + "\n"
             for r in records
         )
     elif fmt == "conll":
@@ -293,5 +268,5 @@ def load_records(path: str | Path) -> list[PseudoLabeledRecord]:
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                records.append(record_from_dict(json.loads(line)))
+                records.append(from_json(PseudoLabeledRecord, json.loads(line)))
     return records

@@ -54,55 +54,6 @@ class WordTokenizer:
         return sum(1 for _ in _TOKEN_RE.finditer(text))
 
 
-class VocabTokenizer:
-    """Greedy longest-match tokenizer over a fixed vocabulary.
-
-    Falls back to the word tokenizer's rule for out-of-vocabulary stretches.
-    Provided for callers whose serving stack counts subwords; everything in
-    this package works with any object satisfying the Tokenizer protocol.
-    """
-
-    def __init__(self, vocabulary: Sequence[str]):
-        if not vocabulary:
-            raise ValueError("vocabulary must be non-empty")
-        self._vocab = sorted(set(vocabulary), key=len, reverse=True)
-
-    def span_tokenize(self, text: str) -> list[tuple[int, int]]:
-        spans: list[tuple[int, int]] = []
-        i = 0
-        n = len(text)
-        while i < n:
-            if text[i].isspace():
-                i += 1
-                continue
-            matched = False
-            for piece in self._vocab:
-                if text.startswith(piece, i):
-                    spans.append((i, i + len(piece)))
-                    i += len(piece)
-                    matched = True
-                    break
-            if not matched:
-                m = _TOKEN_RE.match(text, i)
-                if m is None:
-                    i += 1
-                    continue
-                spans.append(m.span())
-                i = m.end()
-        return spans
-
-    def tokenize(self, text: str) -> list[str]:
-        return [text[a:b] for a, b in self.span_tokenize(text)]
-
-    def count(self, text: str) -> int:
-        return len(self.span_tokenize(text))
-
-
-def count_tokens(text: str, tokenizer: Optional[Tokenizer] = None) -> int:
-    """Token count under the given (default: word) tokenizer; empty text is 0."""
-    return (tokenizer or WordTokenizer()).count(text)
-
-
 class DecodeMode(str, Enum):
     GREEDY = "greedy"
     NUCLEUS = "nucleus"
@@ -431,30 +382,34 @@ def build_request(prompt: str, params: DecodeParams) -> dict:
 
 
 def parse_response(payload: dict) -> Generation:
-    """Decode one completion response from the wire schema."""
+    """Decode one completion response from the wire schema.
+
+    Any payload that does not decode to a valid ``Generation`` raises
+    ``BackendError``.
+    """
     try:
         choice = payload["choices"][0]
         text = choice["text"]
-    except (KeyError, IndexError, TypeError) as exc:
+        tokens: tuple[str, ...] = ()
+        top_probs: tuple[Mapping[str, float], ...] = ()
+        lp = choice.get("logprobs")
+        if lp:
+            tokens = tuple(lp.get("tokens", ()))
+            raw = lp.get("top_logprobs") or [{} for _ in tokens]
+            top_probs = tuple(
+                {tok: math.exp(v) for tok, v in (entry or {}).items()} for entry in raw
+            )
+        return Generation(text=text, tokens=tokens, top_probs=top_probs)
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise BackendError(f"malformed completion response: {exc}") from exc
-    tokens: tuple[str, ...] = ()
-    top_probs: tuple[Mapping[str, float], ...] = ()
-    lp = choice.get("logprobs")
-    if lp:
-        tokens = tuple(lp.get("tokens", ()))
-        raw = lp.get("top_logprobs") or [{} for _ in tokens]
-        top_probs = tuple(
-            {tok: math.exp(v) for tok, v in (entry or {}).items()} for entry in raw
-        )
-    return Generation(text=text, tokens=tokens, top_probs=top_probs)
 
 
 class HTTPBackend:
     """Completion client for an HTTP endpoint speaking the wire schema.
 
     Retries transport errors and 5xx responses up to three attempts with
-    exponential backoff; 4xx responses fail immediately. A bounded
-    semaphore caps in-flight requests.
+    exponential backoff; 4xx responses and 200 responses whose body does
+    not decode fail immediately. A bounded semaphore caps in-flight requests.
     """
 
     def __init__(
@@ -499,7 +454,14 @@ class HTTPBackend:
             else:
                 last_status = resp.status_code
                 if resp.status_code == 200:
-                    return parse_response(resp.json())
+                    try:
+                        return parse_response(resp.json())
+                    except (ValueError, BackendError) as exc:  # not JSON, or invalid
+                        raise BackendError(
+                            f"HTTP 200 with unusable body: {exc}",
+                            attempts=attempt,
+                            status=200,
+                        ) from exc
                 last_error = f"HTTP {resp.status_code}"
                 if 400 <= resp.status_code < 500:
                     raise BackendError(
@@ -519,19 +481,17 @@ class HTTPBackend:
 
 def complete_many(
     backend: Backend,
-    prompts: Sequence[str],
-    params: DecodeParams,
+    requests: Sequence[tuple[str, DecodeParams]],
     parallelism: int = 8,
 ) -> list[Generation]:
-    """Fan a batch of prompts out to the backend, preserving order.
+    """Send ``(prompt, params)`` requests to the backend, preserving order.
 
-    Results come back indexed by position regardless of completion order,
-    so downstream aggregation never depends on thread scheduling.
+    This is the only place a backend is called. Results come back indexed
+    by position regardless of completion order, so downstream aggregation
+    never depends on thread scheduling.
     """
-    if not prompts:
-        return []
-    if parallelism <= 1 or len(prompts) == 1:
-        return [backend.complete(p, params) for p in prompts]
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(prompts))) as pool:
-        futures = [pool.submit(backend.complete, p, params) for p in prompts]
+    if parallelism <= 1 or len(requests) <= 1:
+        return [backend.complete(prompt, params) for prompt, params in requests]
+    with ThreadPoolExecutor(max_workers=min(parallelism, len(requests))) as pool:
+        futures = [pool.submit(backend.complete, prompt, params) for prompt, params in requests]
         return [f.result() for f in futures]

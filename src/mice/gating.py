@@ -15,6 +15,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .gateway import BackendError
 from .prompts import Prompt
 
 logger = logging.getLogger(__name__)
@@ -69,18 +70,33 @@ class RemoteEmbedder:
         self._session = requests.Session()
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed a batch; any failure of the endpoint raises ``BackendError``."""
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"
-        resp = self._session.post(
-            self._endpoint, json={"texts": list(texts)}, headers=headers,
-            timeout=self._timeout,
-        )
-        resp.raise_for_status()
-        vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
-        if vectors.shape[0] != len(texts):
-            raise ValueError(
-                f"endpoint returned {vectors.shape[0]} vectors for {len(texts)} texts"
+        try:
+            resp = self._session.post(
+                self._endpoint, json={"texts": list(texts)}, headers=headers,
+                timeout=self._timeout,
+            )
+        except requests.RequestException as exc:
+            raise BackendError(f"embedding request failed: {exc}") from exc
+        if not 200 <= resp.status_code < 300:
+            raise BackendError(
+                f"embedding rejected: HTTP {resp.status_code}", status=resp.status_code
+            )
+        try:
+            vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BackendError(
+                f"malformed embedding response: {exc}", status=resp.status_code
+            ) from exc
+        if vectors.shape[:1] != (len(texts),):
+            raise BackendError(
+                f"endpoint returned shape {vectors.shape} for {len(texts)} texts",
+                status=resp.status_code,
             )
         return vectors
 

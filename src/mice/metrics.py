@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .combine import canonicalize
+from .corpus import to_json
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,7 @@ class ScoreReport:
         return cls(precision, recall, f1, tp, fp, fn, tuple(per_example))
 
     def to_json(self) -> str:
-        payload = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "per_example": [
-                {
-                    "key": e.key,
-                    "true_positives": e.true_positives,
-                    "false_positives": e.false_positives,
-                    "false_negatives": e.false_negatives,
-                }
-                for e in self.per_example
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(to_json(self), sort_keys=True, indent=2)
 
     def to_table(self) -> str:
         return (

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .combine import (
     CandidateAntecedent,
-    PromptPrediction,
     combine_kate_plus,
     combine_mice,
     combine_mice_sample,
@@ -23,7 +22,7 @@ from .combine import (
     combine_single,
     extract_prediction,
 )
-from .corpus import Dataset, Example, KShotSample
+from .corpus import Dataset, Example, KShotSample, from_json, to_json
 from .gateway import (
     Backend,
     BackendError,
@@ -38,11 +37,8 @@ from .gating import Embedder, GatingDistribution, HashingEmbedder, gate, similar
 from .metrics import ScoreReport, micro_f1
 from .postfilter import FilterConfig, filter_and_merge
 from .prompts import (
-    Ordering,
-    Prompt,
     PromptBudgetError,
     PromptSetConfig,
-    Selection,
     Template,
     enumerate_prompts,
     select_kate_prompt,
@@ -86,78 +82,6 @@ class RunConfig:
             raise ValueError(f"unknown gate_combine: {self.gate_combine!r}")
         if self.combiner is Combiner.KATE_PLUS and self.decode.mode is not DecodeMode.NUCLEUS:
             raise ValueError("kate-plus requires nucleus decoding")
-
-    def to_dict(self) -> dict:
-        return {
-            "combiner": self.combiner.value,
-            "gate_combine": self.gate_combine,
-            "parallelism": self.parallelism,
-            "kate_plus_samples": self.kate_plus_samples,
-            "embed_dim": self.embed_dim,
-            "prompt": {
-                "demos_per_prompt": self.prompt.demos_per_prompt,
-                "max_prompts": self.prompt.max_prompts,
-                "ordering": self.prompt.ordering.value,
-                "selection": self.prompt.selection.value,
-                "seed": self.prompt.seed,
-                "max_sequence_length": self.prompt.max_sequence_length,
-                "generation_reserve": self.prompt.generation_reserve,
-            },
-            "decode": {
-                "mode": self.decode.mode.value,
-                "max_tokens": self.decode.max_tokens,
-                "top_k": self.decode.top_k,
-                "top_p": self.decode.top_p,
-                "temperature": self.decode.temperature,
-                "stop_sequences": list(self.decode.stop_sequences),
-                "logprob_depth": self.decode.logprob_depth,
-                "seed": self.decode.seed,
-            },
-            "filters": {
-                "max_antecedent_tokens": self.filters.max_antecedent_tokens,
-                "per_prompt_threshold": self.filters.per_prompt_threshold,
-                "combined_threshold": self.filters.combined_threshold,
-                "merge_substrings": self.filters.merge_substrings,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        p = payload["prompt"]
-        d = payload["decode"]
-        f = payload["filters"]
-        return cls(
-            combiner=Combiner(payload["combiner"]),
-            gate_combine=payload["gate_combine"],
-            parallelism=payload["parallelism"],
-            kate_plus_samples=payload["kate_plus_samples"],
-            embed_dim=payload["embed_dim"],
-            prompt=PromptSetConfig(
-                demos_per_prompt=p["demos_per_prompt"],
-                max_prompts=p["max_prompts"],
-                ordering=Ordering(p["ordering"]),
-                selection=Selection(p["selection"]),
-                seed=p["seed"],
-                max_sequence_length=p["max_sequence_length"],
-                generation_reserve=p["generation_reserve"],
-            ),
-            decode=DecodeParams(
-                mode=DecodeMode(d["mode"]),
-                max_tokens=d["max_tokens"],
-                top_k=d["top_k"],
-                top_p=d["top_p"],
-                temperature=d["temperature"],
-                stop_sequences=tuple(d["stop_sequences"]),
-                logprob_depth=d["logprob_depth"],
-                seed=d["seed"],
-            ),
-            filters=FilterConfig(
-                max_antecedent_tokens=f["max_antecedent_tokens"],
-                per_prompt_threshold=f["per_prompt_threshold"],
-                combined_threshold=f["combined_threshold"],
-                merge_substrings=f["merge_substrings"],
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -238,84 +162,45 @@ class Resolver:
         return self.config.prompt
 
     def resolve_one(self, test: Example) -> ResolutionResult:
-        """Run the configured combiner on one test input."""
-        combiner = self.config.combiner
+        """Build the prompts and gate for one test input, query, and finish."""
+        config = self.config
+        combiner = config.combiner
         sims = self._similarities(test)
         if combiner in (Combiner.KATE, Combiner.KATE_PLUS):
-            return self._resolve_kate(test, sims)
-        prompts = enumerate_prompts(
-            self.sample, test, self._effective_prompt_config(), sims,
-            self.template, self.tokenizer,
-        )
-        generations = complete_many(
-            self.backend,
-            [p.text for p in prompts],
-            self.config.decode,
-            self.config.parallelism,
-        )
-        predictions = [
-            extract_prediction(gen, self.template, self.tokenizer, prompt_id=p.prompt_id)
-            for p, gen in zip(prompts, generations)
-        ]
-        gating: Optional[GatingDistribution] = None
-        if combiner is Combiner.MICE:
-            gating = gate(prompts, sims, self.config.gate_combine)
-            candidates = combine_mice(predictions, gating, self.tokenizer)
-        elif combiner is Combiner.MICE_S:
-            gating = gate(prompts, sims, self.config.gate_combine)
-            candidates = combine_mice_sample(predictions, gating, self.tokenizer)
+            prompts = [
+                select_kate_prompt(
+                    self.sample, test, config.prompt, sims, self.template, self.tokenizer
+                )
+            ]
         else:
-            candidates = combine_product(predictions, self.tokenizer)
-        final = filter_and_merge(candidates, self.config.filters, self.tokenizer)
-        return ResolutionResult(
-            key=test.key,
-            gold=tuple(test.gold_surfaces()) if test.is_labeled else None,
-            prompt_ids=tuple(p.prompt_id for p in prompts),
-            gating=gating,
-            generations=tuple(generations),
-            candidates=tuple(candidates),
-            final=tuple(final),
-            request_count=len(generations),
-        )
-
-    def _resolve_kate(self, test: Example, sims: list[float]) -> ResolutionResult:
-        prompt = select_kate_prompt(
-            self.sample, test, self.config.prompt, sims, self.template, self.tokenizer
-        )
-        if self.config.combiner is Combiner.KATE:
-            generation = self.backend.complete(prompt.text, self.config.decode)
-            prediction = extract_prediction(
-                generation, self.template, self.tokenizer, prompt_id=prompt.prompt_id
+            prompts = enumerate_prompts(
+                self.sample, test, self._effective_prompt_config(), sims,
+                self.template, self.tokenizer,
             )
-            gating = GatingDistribution.single(prompt.prompt_id)
-            candidates = combine_single(prediction, self.tokenizer)
-            generations: tuple[Generation, ...] = (generation,)
-            prompt_ids: tuple[int, ...] = (prompt.prompt_id,)
-        else:
-            n = self.config.kate_plus_samples
-            candidates_list, gen_list = combine_kate_plus(
-                prompt,
-                self.backend,
-                self.config.decode,
-                n,
-                self.template,
-                self.tokenizer,
-                self.config.parallelism,
+        if combiner is Combiner.KATE_PLUS:
+            # combine_kate_plus draws the samples; _finish rebuilds their
+            # candidates exactly as replay does.
+            n = config.kate_plus_samples
+            _, generations = combine_kate_plus(
+                prompts[0], self.backend, config.decode, n,
+                self.template, self.tokenizer, config.parallelism,
             )
-            candidates = candidates_list
-            gating = GatingDistribution.uniform(list(range(n)))
-            generations = tuple(gen_list)
             prompt_ids = tuple(range(n))
-        final = filter_and_merge(candidates, self.config.filters, self.tokenizer)
-        return ResolutionResult(
-            key=test.key,
-            gold=tuple(test.gold_surfaces()) if test.is_labeled else None,
-            prompt_ids=prompt_ids,
-            gating=gating,
-            generations=generations,
-            candidates=tuple(candidates),
-            final=tuple(final),
-            request_count=len(generations),
+            gating: Optional[GatingDistribution] = GatingDistribution.uniform(prompt_ids)
+        else:
+            if combiner is Combiner.KATE:
+                gating = GatingDistribution.single(prompts[0].prompt_id)
+            elif combiner is Combiner.PRODUCT:
+                gating = None
+            else:
+                gating = gate(prompts, sims, config.gate_combine)
+            generations = complete_many(
+                self.backend, [(p.text, config.decode) for p in prompts], config.parallelism
+            )
+            prompt_ids = tuple(p.prompt_id for p in prompts)
+        return _finish(
+            test.key, _gold(test), prompt_ids, gating, generations,
+            config, self.template, self.tokenizer,
         )
 
     def resolve_split(self, split: Dataset) -> SplitResult:
@@ -326,25 +211,63 @@ class Resolver:
                 results.append(self.resolve_one(example))
             except (PromptBudgetError, BackendError) as exc:
                 logger.warning("resolution failed for %s: %s", example.key, exc)
-                results.append(
-                    ResolutionResult(
-                        key=example.key,
-                        gold=tuple(example.gold_surfaces()) if example.is_labeled else None,
-                        prompt_ids=(),
-                        gating=None,
-                        generations=(),
-                        candidates=(),
-                        final=(),
-                        request_count=0,
-                        error=str(exc),
-                    )
-                )
+                results.append(_failed(example.key, _gold(example), str(exc)))
         return _assemble_split_result(results)
 
     def predict(self, example: Example) -> list[tuple[str, float]]:
         """Teacher interface for distillation: surfaces with confidences."""
         result = self.resolve_one(example)
         return [(c.surface, c.combined_prob) for c in result.final]
+
+
+def _gold(example: Example) -> Optional[tuple[str, ...]]:
+    return tuple(example.gold_surfaces()) if example.is_labeled else None
+
+
+def _finish(
+    key: str,
+    gold: Optional[tuple[str, ...]],
+    prompt_ids: Sequence[int],
+    gating: Optional[GatingDistribution],
+    generations: Sequence[Generation],
+    config: RunConfig,
+    template: Template,
+    tokenizer: Tokenizer,
+) -> ResolutionResult:
+    """Extract, combine and filter one example's generations.
+
+    Resolution and replay both end here, so a replayed manifest goes
+    through the very code that produced it.
+    """
+    predictions = [
+        extract_prediction(gen, template, tokenizer, prompt_id=pid)
+        for pid, gen in zip(prompt_ids, generations)
+    ]
+    combiner = config.combiner
+    if combiner is Combiner.MICE:
+        candidates = combine_mice(predictions, gating, tokenizer)
+    elif combiner in (Combiner.MICE_S, Combiner.KATE_PLUS):
+        candidates = combine_mice_sample(predictions, gating, tokenizer)
+    elif combiner is Combiner.KATE:
+        candidates = combine_single(predictions[0], tokenizer)
+    else:
+        candidates = combine_product(predictions, tokenizer)
+    final = filter_and_merge(candidates, config.filters, tokenizer)
+    return ResolutionResult(
+        key=key,
+        gold=gold,
+        prompt_ids=tuple(prompt_ids),
+        gating=gating,
+        generations=tuple(generations),
+        candidates=tuple(candidates),
+        final=tuple(final),
+        request_count=len(generations),
+    )
+
+
+def _failed(key: str, gold: Optional[tuple[str, ...]], error: Optional[str]) -> ResolutionResult:
+    """An example without generations, hence without candidates."""
+    return ResolutionResult(key, gold, (), None, (), (), (), 0, error)
 
 
 def _assemble_split_result(results: Sequence[ResolutionResult]) -> SplitResult:
@@ -363,31 +286,6 @@ def _assemble_split_result(results: Sequence[ResolutionResult]) -> SplitResult:
 
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def _generation_to_dict(gen: Generation) -> dict:
-    return {
-        "text": gen.text,
-        "tokens": list(gen.tokens),
-        "top_probs": [dict(d) for d in gen.top_probs],
-    }
-
-
-def _generation_from_dict(payload: dict) -> Generation:
-    return Generation(
-        text=payload["text"],
-        tokens=tuple(payload["tokens"]),
-        top_probs=tuple(payload["top_probs"]),
-    )
-
-
-def _candidate_to_dict(c: CandidateAntecedent) -> dict:
-    return {
-        "surface": c.surface,
-        "first_token": c.first_token,
-        "combined_prob": c.combined_prob,
-        "per_prompt_prob": {str(pid): p for pid, p in sorted(c.per_prompt_prob.items())},
-    }
 
 
 def write_manifest(
@@ -410,44 +308,21 @@ def write_manifest(
                 "split": split_name,
                 "k": sample.k,
                 "sample_seed": sample.seed,
-                "config": config.to_dict(),
+                "config": to_json(config),
             }
         )
     ]
     for r in split_result.results:
+        gating = to_json(r.gating.weights) if r.gating is not None else None
         lines.append(
-            _dumps(
-                {
-                    "record": "entry",
-                    "key": r.key,
-                    "gold": list(r.gold) if r.gold is not None else None,
-                    "prompt_ids": list(r.prompt_ids),
-                    "gating": (
-                        {str(pid): w for pid, w in sorted(r.gating.weights.items())}
-                        if r.gating is not None
-                        else None
-                    ),
-                    "generations": [_generation_to_dict(g) for g in r.generations],
-                    "candidates": [_candidate_to_dict(c) for c in r.candidates],
-                    "final": [_candidate_to_dict(c) for c in r.final],
-                    "request_count": r.request_count,
-                    "error": r.error,
-                }
-            )
+            _dumps({"record": "entry", **to_json(r, omit=("gating",)), "gating": gating})
         )
     summary: dict = {
         "record": "summary",
         "request_count": split_result.request_count,
     }
     if split_result.report is not None:
-        summary["report"] = {
-            "precision": split_result.report.precision,
-            "recall": split_result.report.recall,
-            "f1": split_result.report.f1,
-            "true_positives": split_result.report.true_positives,
-            "false_positives": split_result.report.false_positives,
-            "false_negatives": split_result.report.false_negatives,
-        }
+        summary["report"] = to_json(split_result.report, omit=("per_example",))
     lines.append(_dumps(summary))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -476,7 +351,7 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
         raise ValueError(f"manifest {path} has no header")
     if header.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported manifest schema: {header.get('schema')!r}")
-    config = RunConfig.from_dict(header["config"])
+    config = from_json(RunConfig, header["config"])
     template = Template()
     tokenizer = WordTokenizer()
     results: list[ResolutionResult] = []
@@ -489,48 +364,12 @@ def _replay_entry(
     entry: dict, config: RunConfig, template: Template, tokenizer: Tokenizer
 ) -> ResolutionResult:
     gold = tuple(entry["gold"]) if entry.get("gold") is not None else None
-    prompt_ids = tuple(entry.get("prompt_ids", ()))
-    generations = tuple(_generation_from_dict(g) for g in entry.get("generations", ()))
-    gating_raw = entry.get("gating")
-    gating = (
-        GatingDistribution(weights={int(pid): w for pid, w in gating_raw.items()})
-        if gating_raw
-        else None
-    )
+    generations = from_json(tuple[Generation, ...], entry.get("generations", ()))
     if entry.get("error") or not generations:
-        return ResolutionResult(
-            key=entry["key"],
-            gold=gold,
-            prompt_ids=prompt_ids,
-            gating=gating,
-            generations=generations,
-            candidates=(),
-            final=(),
-            request_count=entry.get("request_count", 0),
-            error=entry.get("error"),
-        )
-    predictions = [
-        extract_prediction(gen, template, tokenizer, prompt_id=pid)
-        for pid, gen in zip(prompt_ids, generations)
-    ]
-    combiner = config.combiner
-    if combiner is Combiner.MICE:
-        candidates = combine_mice(predictions, gating, tokenizer)
-    elif combiner in (Combiner.MICE_S, Combiner.KATE_PLUS):
-        candidates = combine_mice_sample(predictions, gating, tokenizer)
-    elif combiner is Combiner.KATE:
-        candidates = combine_single(predictions[0], tokenizer)
-    else:
-        candidates = combine_product(predictions, tokenizer)
-    final = filter_and_merge(candidates, config.filters, tokenizer)
-    return ResolutionResult(
-        key=entry["key"],
-        gold=gold,
-        prompt_ids=prompt_ids,
-        gating=gating,
-        generations=generations,
-        candidates=tuple(candidates),
-        final=tuple(final),
-        request_count=entry.get("request_count", len(generations)),
-        error=None,
+        return _failed(entry["key"], gold, entry.get("error"))
+    weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
+    return _finish(
+        entry["key"], gold, tuple(entry.get("prompt_ids", ())),
+        GatingDistribution(weights) if weights else None,
+        generations, config, template, tokenizer,
     )

@@ -78,22 +78,6 @@ class Template:
         parts.append(self.render_example(test, include_answer=False))
         return self.demonstration_joiner.join(parts)
 
-    def parse_antecedents(self, generated: str) -> list[str]:
-        """Split a generated answer line into distinct antecedent strings.
-
-        Only the first line counts; segments are stripped, empties dropped,
-        and repeats keep their first occurrence.
-        """
-        line = generated.split("\n", 1)[0]
-        seen: set[str] = set()
-        out: list[str] = []
-        for segment in line.split(self.separator):
-            surface = segment.strip()
-            if surface and surface not in seen:
-                seen.add(surface)
-                out.append(surface)
-        return out
-
     def validate_against(self, sample: KShotSample) -> None:
         """Reject samples whose gold surfaces would collide with the separator."""
         for ex in sample:

@@ -1,4 +1,4 @@
-"""Shared test helpers: deterministic noise model, stub embedder, corpus builders.
+"""Shared test helpers: noise model, stub embedder, corpus builders, HTTP fakes.
 
 The noisy oracle backend simulates a language model whose per-prompt
 accuracy rises with demonstration-to-test similarity: prompts built from
@@ -167,3 +167,31 @@ class NoisyOracleBackend:
             tokens=tokens,
             top_probs=tuple({tok: 1.0} for tok in tokens),
         )
+
+
+class FakeResponse:
+    """An HTTP response; a payload that is an exception is raised by json()."""
+
+    def __init__(self, status_code, payload=None):
+        self.status_code = status_code
+        self._payload = payload or {}
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
+
+
+class FakeSession:
+    """Stands in for the HTTP session: replays a scripted outcome list."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "json": json, "headers": headers})
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome

@@ -190,6 +190,11 @@ class TestResolve:
         assert code == 1
         assert "no backend" in capsys.readouterr().err
 
+    def test_unreachable_embed_endpoint_is_exit_two(self, capsys):
+        code = run(resolve_args("--seed", "1", "--embed-endpoint", "http://127.0.0.1:1"))
+        assert code == 2
+        assert "backend error: embedding request failed" in capsys.readouterr().err
+
     def test_template_override(self, tmp_path, capsys):
         template = tmp_path / "template.json"
         template.write_text(

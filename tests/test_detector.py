@@ -3,7 +3,6 @@ import pytest
 
 from mice.corpus import Dataset, Example, Span, load_corpus
 from mice.detector import (
-    DetectionReport,
     RuleSet,
     default_rules,
     detect_anaphors,
@@ -72,12 +71,6 @@ class TestEvaluateDetection:
         assert (empty.precision, empty.recall, empty.f1) == (0.0, 0.0, 0.0)
         no_pred = evaluate_detection([], [Span(0, 3, "Add")])
         assert (no_pred.precision, no_pred.recall, no_pred.f1) == (0.0, 0.0, 0.0)
-
-    def test_report_from_counts(self):
-        report = DetectionReport.from_counts(tp=3, fp=1, fn=1)
-        assert report.precision == pytest.approx(0.75)
-        assert report.recall == pytest.approx(0.75)
-        assert report.f1 == pytest.approx(0.75)
 
 
 class TestEvaluateRules:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mice.corpus import CorpusError, Example, Span
+from mice.corpus import CorpusError, Example, Span, from_json, to_json
 from mice.detector import RuleSet
 from mice.distill import (
     MARKER_END,
@@ -16,8 +16,6 @@ from mice.distill import (
     generate_pseudo_labels,
     load_records,
     load_unlabeled_docs,
-    record_from_dict,
-    record_to_dict,
 )
 from mice.gateway import WordTokenizer
 
@@ -235,7 +233,8 @@ class TestBuildRecord:
 class TestSerialization:
     def test_dict_round_trip(self):
         record = valid_record()
-        assert record_from_dict(record_to_dict(record)) == record
+        payload = json.loads(json.dumps(to_json(record)))
+        assert from_json(PseudoLabeledRecord, payload) == record
 
     def test_jsonl_round_trip(self, tmp_path):
         records = [

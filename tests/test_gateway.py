@@ -16,7 +16,6 @@ from mice.gateway import (
     HTTPBackend,
     MockBackend,
     ScriptedEntry,
-    VocabTokenizer,
     WordTokenizer,
     build_request,
     complete_many,
@@ -27,6 +26,7 @@ from mice.gateway import (
 from mice.prompts import Template
 
 from conftest import FIXTURES
+from support import FakeResponse, FakeSession
 
 
 class TestDecodeParams:
@@ -128,13 +128,6 @@ class TestTokenizers:
             "water", ",", "DCM", "(", "dry", ")",
         ]
 
-    def test_vocab_tokenizer_prefers_longest_match(self):
-        tok = VocabTokenizer(("the mixture", "the", "mixture", "was"))
-        assert tok.tokenize("the mixture was") == ["the mixture", "was"]
-
-    def test_vocab_tokenizer_falls_back_per_word(self):
-        tok = VocabTokenizer(("alpha",))
-        assert tok.count("alpha beta") == 2
 
 
 class TestMockBackend:
@@ -276,30 +269,6 @@ class TestWireSchema:
             parse_response({"choices": []})
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    """Stands in for the HTTP session: replays a scripted outcome list."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 def http_backend(outcomes, **kwargs):
     sleeps = []
     backend = HTTPBackend(
@@ -357,6 +326,26 @@ class TestHTTPBackend:
         assert len(session.calls) == 1
         assert sleeps == []
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            requests.JSONDecodeError("Expecting value", "<html>", 0),
+            {"choices": [{"text": "water | DCM", "logprobs": {
+                "tokens": ["water", "|"], "top_logprobs": [{"water": -0.1}]}}]},
+            {"choices": [{"text": "water", "logprobs": {
+                "tokens": ["water"], "top_logprobs": [{"water": 0.5}]}}]},
+        ],
+        ids=["not-json", "fewer-maps-than-tokens", "positive-logprob"],
+    )
+    def test_malformed_body_is_a_backend_error(self, payload):
+        backend, session, sleeps = http_backend([FakeResponse(200, payload)])
+        with pytest.raises(BackendError, match="unusable body") as info:
+            backend.complete("p", DecodeParams.greedy())
+        assert info.value.status == 200
+        assert info.value.attempts == 1
+        assert len(session.calls) == 1
+        assert sleeps == []
+
 
 class TestCompleteMany:
     def test_preserves_prompt_order(self):
@@ -366,15 +355,29 @@ class TestCompleteMany:
                 for i in range(20)
             ]
         )
-        prompts = [f"prompt {i} end" for i in range(20)]
-        generations = complete_many(backend, prompts, DecodeParams.greedy(), parallelism=6)
+        batch = [(f"prompt {i} end", DecodeParams.greedy()) for i in range(20)]
+        generations = complete_many(backend, batch, parallelism=6)
         assert [g.text for g in generations] == [f"answer {i}" for i in range(20)]
 
+    def test_each_request_carries_its_own_params(self):
+        seen = []
+
+        class Recording:
+            def complete(self, prompt, params):
+                seen.append((prompt, params.seed))
+                return Generation(text=prompt)
+
+        batch = [("p", DecodeParams.nucleus(seed=s)) for s in range(5)]
+        generations = complete_many(Recording(), batch, parallelism=1)
+        assert seen == [("p", s) for s in range(5)]
+        assert [g.text for g in generations] == ["p"] * 5
+
     def test_empty_batch(self):
-        assert complete_many(MockBackend([]), [], DecodeParams.greedy()) == []
+        assert complete_many(MockBackend([]), []) == []
 
     def test_serial_path_matches_parallel(self):
         backend = MockBackend([], default_answer="x")
-        serial = complete_many(backend, ["a", "b"], DecodeParams.greedy(), parallelism=1)
-        parallel = complete_many(backend, ["a", "b"], DecodeParams.greedy(), parallelism=4)
+        batch = [("a", DecodeParams.greedy()), ("b", DecodeParams.greedy())]
+        serial = complete_many(backend, batch, parallelism=1)
+        parallel = complete_many(backend, batch, parallelism=4)
         assert [g.text for g in serial] == [g.text for g in parallel]

@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mice.gateway import BackendError
 from mice.gating import (
     GatingDistribution,
     HashingEmbedder,
+    RemoteEmbedder,
     cosine,
     gate,
     similarities,
 )
 from mice.prompts import Prompt
+from support import FakeResponse, FakeSession
 
 
 def make_prompt(pid, demos):
@@ -61,6 +65,37 @@ class TestHashingEmbedder:
             ]
         )
         assert cosine(a, b) > cosine(a, c)
+
+
+def remote_embedder(outcome):
+    embedder = RemoteEmbedder("http://embed.test/v1/embed", token="secret")
+    embedder._session = FakeSession([outcome])
+    return embedder
+
+
+class TestRemoteEmbedder:
+    def test_returns_one_vector_per_text(self):
+        embedder = remote_embedder(FakeResponse(200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]}))
+        vectors = embedder.embed(["a", "b"])
+        assert vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert embedder._session.calls[0]["json"] == {"texts": ["a", "b"]}
+        assert embedder._session.calls[0]["headers"]["Authorization"] == "Bearer secret"
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            requests.exceptions.ConnectionError("connection refused"),
+            requests.exceptions.Timeout("read timed out"),
+            FakeResponse(503),
+            FakeResponse(200, requests.JSONDecodeError("Expecting value", "<html>", 0)),
+            FakeResponse(200, {"embeddings": []}),
+            FakeResponse(200, {"vectors": [[1.0, 0.0]]}),
+        ],
+        ids=["unreachable", "timeout", "http-503", "not-json", "no-vectors", "wrong-count"],
+    )
+    def test_endpoint_failures_are_backend_errors(self, outcome):
+        with pytest.raises(BackendError):
+            remote_embedder(outcome).embed(["a", "b"])
 
 
 class TestCosine:

@@ -2,17 +2,20 @@
 import json
 
 import pytest
+import requests
 from conftest import FIXTURES
 
-from mice.corpus import Dataset, Example, Span, load_corpus, sample_kshot
+from mice.corpus import Dataset, Example, Span, from_json, load_corpus, sample_kshot, to_json
 from mice.distill import build_record
 from mice.gateway import (
     BackendError,
     DecodeParams,
     Generation,
+    HTTPBackend,
     MockBackend,
     WordTokenizer,
 )
+from mice.gating import RemoteEmbedder
 from mice.pipeline import (
     MANIFEST_SCHEMA,
     Combiner,
@@ -24,6 +27,7 @@ from mice.pipeline import (
 )
 from mice.postfilter import FilterConfig
 from mice.prompts import Ordering, PromptSetConfig, Selection
+from support import FakeResponse
 
 TRAIN = load_corpus(FIXTURES / "synthetic_train.jsonl")
 TEST3 = load_corpus(FIXTURES / "cli_test.jsonl")
@@ -86,10 +90,11 @@ class TestRunConfig:
             kate_plus_samples=16,
             embed_dim=256,
         )
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        payload = json.loads(json.dumps(to_json(cfg)))
+        assert from_json(RunConfig, payload) == cfg
 
     def test_to_dict_is_json_safe(self):
-        json.dumps(RunConfig().to_dict())
+        json.dumps(to_json(RunConfig()))
 
 
 class TestResolveOne:
@@ -235,6 +240,44 @@ class TestResolveSplit:
         )
 
 
+    def test_malformed_response_fails_only_its_example(self):
+        poison_text = TEST3[1].text
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                logprobs = {"tokens": ["water", "|"], "top_logprobs": [{}]}
+                if poison_text not in json["prompt"]:
+                    logprobs = None
+                return FakeResponse(
+                    200, {"choices": [{"text": "water", "logprobs": logprobs}]}
+                )
+
+        backend = HTTPBackend("http://lm.test/v1/complete", sleep=lambda s: None)
+        backend._session = Session()
+        config = RunConfig(combiner=Combiner.KATE, parallelism=1)
+        split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
+        errors = {r.key: r.error for r in split_result.results}
+        assert "1 probability maps for 2 tokens" in errors.pop(TEST3[1].key)
+        assert set(errors.values()) == {None}
+
+    def test_embedding_failure_fails_only_its_example(self):
+        poison_text = TEST3[2].text
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                if any(poison_text in t for t in json["texts"]):
+                    raise requests.exceptions.ConnectionError("connection reset")
+                return FakeResponse(200, {"vectors": [[1.0, 0.0]] * len(json["texts"])})
+
+        embedder = RemoteEmbedder("http://embed.test/v1/embed")
+        embedder._session = Session()
+        resolver = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder=embedder)
+        split_result = resolver.resolve_split(TEST3)
+        errors = {r.key: r.error for r in split_result.results}
+        assert "connection reset" in errors.pop(TEST3[2].key)
+        assert set(errors.values()) == {None}
+
+
 class TestTeacherInterface:
     def test_predict_returns_scored_surfaces(self):
         resolver = Resolver(RunConfig(), SAMPLE, echo_backend())
@@ -277,16 +320,23 @@ class TestManifest:
         assert summary["report"]["f1"] == split_result.report.f1
         assert summary["request_count"] == split_result.request_count
 
-    def test_replay_reproduces_report_without_backend(self, tmp_path):
-        split_result, path = self.run_and_write(tmp_path, "run.jsonl")
-        replayed, config = replay_manifest(path)
-        assert config == RunConfig()
-        assert replayed.report.f1 == split_result.report.f1
-        assert replayed.report.true_positives == split_result.report.true_positives
+    @pytest.mark.parametrize("combiner", list(Combiner), ids=lambda c: c.value)
+    def test_replay_reproduces_report_without_backend(self, tmp_path, combiner):
+        decode = (
+            DecodeParams.nucleus(seed=5)
+            if combiner is Combiner.KATE_PLUS
+            else DecodeParams.greedy()
+        )
+        config = RunConfig(combiner=combiner, decode=decode, kate_plus_samples=8)
+        split_result, path = self.run_and_write(tmp_path, "run.jsonl", config=config)
+        replayed, replayed_config = replay_manifest(path)
+        assert replayed_config == config
+        assert replayed.report == split_result.report
+        assert len(replayed.results) == len(split_result.results)
         for original, again in zip(split_result.results, replayed.results):
             assert again.key == original.key
-            assert again.final == original.final
             assert again.candidates == original.candidates
+            assert again.final == original.final
 
     def test_replay_mice_manifest(self, tmp_path):
         split_result, path = self.run_and_write(

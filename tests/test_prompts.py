@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mice.combine import extract_prediction
 from mice.corpus import Dataset, load_corpus, sample_kshot
-from mice.gateway import WordTokenizer, count_tokens
+from mice.gateway import Generation, WordTokenizer
 from mice.prompts import (
     Ordering,
     Prompt,
@@ -30,12 +31,18 @@ def tiny_sample(n=4, k=4, seed=0):
     return sample_kshot(make_dataset(n), k=k, seed=seed)
 
 
+def parse(template, generated):
+    """The antecedent surfaces the combiners read from a generated answer."""
+    prediction = extract_prediction(Generation(text=generated), template, TOK)
+    return list(prediction.generated_antecedents)
+
+
 class TestTokenizer:
     def test_separator_counts_as_one_token(self):
-        assert count_tokens("water | DCM") == 3
+        assert TOK.count("water | DCM") == 3
 
     def test_punctuation_splits(self):
-        assert count_tokens("CH2CL2 (40 mL)") == 5
+        assert TOK.count("CH2CL2 (40 mL)") == 5
 
     def test_span_tokenize_round_trip(self):
         text = "Add 5 mL of H2O; stir."
@@ -57,16 +64,16 @@ class TestTemplate:
         assert Template().question(ex) == "Question: What does the residue contain?"
 
     def test_parse_antecedents_dedups_and_strips(self):
-        parsed = Template().parse_antecedents("water |  DCM | water \nmore junk")
+        parsed = parse(Template(), "water |  DCM | water \nmore junk")
         assert parsed == ["water", "DCM"]
 
     def test_parse_antecedents_drops_empties(self):
-        assert Template().parse_antecedents(" | water || ") == ["water"]
+        assert parse(Template(), " | water || ") == ["water"]
 
     def test_parse_inverts_linearize(self):
         template = Template()
         surfaces = ["citric acid", "water", "the aqueous layer"]
-        assert template.parse_antecedents(template.linearize(surfaces)) == surfaces
+        assert parse(template, template.linearize(surfaces)) == surfaces
 
     @given(
         st.lists(
@@ -82,7 +89,7 @@ class TestTemplate:
     )
     def test_parse_linearize_round_trip_property(self, surfaces):
         template = Template()
-        assert template.parse_antecedents(template.linearize(surfaces)) == surfaces
+        assert parse(template, template.linearize(surfaces)) == surfaces
 
     def test_validate_against_rejects_separator_in_answers(self):
         sample = sample_kshot(make_dataset(2), k=2, seed=0)
