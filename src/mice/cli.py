@@ -11,13 +11,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .combine import canonicalize
-from .corpus import CorpusError, load_corpus, sample_kshot, save_corpus, to_json
+from .corpus import CorpusError, Dataset, load_corpus, sample_kshot, save_corpus, to_json
 from .detector import default_rules, detect_anaphors, evaluate_rules, load_rules
 from .distill import DropLog, export_records, generate_pseudo_labels, load_unlabeled_docs
 from .gateway import (
@@ -29,12 +30,13 @@ from .gateway import (
     MockBackend,
     WordTokenizer,
 )
-from .gating import Embedder, HashingEmbedder, RemoteEmbedder
+from .gating import Embedder, RemoteEmbedder
 from .metrics import micro_f1
 from .pipeline import (
     Combiner,
     Resolver,
     RunConfig,
+    SplitResult,
     replay_manifest,
     write_manifest,
 )
@@ -192,16 +194,15 @@ def _load_template(path: Optional[str]) -> Template:
     if not path:
         return Template()
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    allowed = {"question_pattern", "answer_prefix", "separator", "demonstration_joiner"}
-    unknown = set(payload) - allowed
+    unknown = set(payload) - {f.name for f in fields(Template)}
     if unknown:
         raise UsageError(f"unknown template fields: {sorted(unknown)}")
     return Template(**payload)
 
 
-def _build_backend(args: argparse.Namespace) -> Backend:
+def _build_backend(args: argparse.Namespace, template: Template) -> Backend:
     if args.lm_mock:
-        return MockBackend.from_fixture(args.lm_mock)
+        return MockBackend.from_fixture(args.lm_mock, template)
     endpoint = args.lm_endpoint or os.environ.get(ENV_LM_ENDPOINT)
     if not endpoint:
         raise UsageError(
@@ -214,11 +215,10 @@ def _build_backend(args: argparse.Namespace) -> Backend:
     )
 
 
-def _build_embedder(args: argparse.Namespace) -> Embedder:
+def _build_embedder(args: argparse.Namespace) -> Optional[Embedder]:
+    """The remote embedder, if an endpoint is set; ``Resolver`` defaults otherwise."""
     endpoint = args.embed_endpoint or os.environ.get(ENV_EMBED_ENDPOINT)
-    if endpoint:
-        return RemoteEmbedder(endpoint)
-    return HashingEmbedder(args.embed_dim)
+    return RemoteEmbedder(endpoint) if endpoint else None
 
 
 def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
@@ -228,7 +228,6 @@ def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
         max_tokens=args.max_gen_tokens,
         top_k=args.top_k,
         top_p=args.top_p,
-        temperature=0.0 if decode_mode is DecodeMode.GREEDY else 1.0,
         seed=seed if decode_mode is DecodeMode.NUCLEUS else None,
     )
     return RunConfig(
@@ -242,6 +241,7 @@ def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
             max_sequence_length=args.max_seq_len,
             generation_reserve=args.gen_reserve,
         ),
+        template=_load_template(args.template),
         decode=decode,
         filters=FilterConfig(
             max_antecedent_tokens=args.max_ante_tokens,
@@ -312,8 +312,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     train = load_corpus(args.train)
     sample = sample_kshot(train, args.k, args.seed)
     if args.out:
-        from .corpus import Dataset
-
         save_corpus(Dataset(examples=sample.examples, split_name="sample"), args.out)
     else:
         for ex in sample:
@@ -326,16 +324,13 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     multi = len(seeds) > 1
     train = load_corpus(args.train)
     test = load_corpus(args.corpus)
-    template = _load_template(args.template)
-    backend = _build_backend(args)
+    configs = [_run_config(args, seed) for seed in seeds]
+    backend = _build_backend(args, configs[0].template)
     embedder = _build_embedder(args)
     runs = []
-    for seed in seeds:
-        config = _run_config(args, seed)
+    for seed, config in zip(seeds, configs):
         sample = sample_kshot(train, args.k, seed)
-        resolver = Resolver(
-            config, sample, backend, embedder=embedder, template=template
-        )
+        resolver = Resolver(config, sample, backend, embedder=embedder)
         result = resolver.resolve_split(test)
         logger.info("seed %d: %d requests", seed, result.request_count)
         if args.manifest:
@@ -356,12 +351,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         payload: dict = {
             "seeds": seeds,
             "runs": [
-                {
-                    "seed": seed,
-                    "f1": rep.f1,
-                    "precision": rep.precision,
-                    "recall": rep.recall,
-                }
+                {"seed": seed, "f1": rep.f1, "precision": rep.precision, "recall": rep.recall}
                 for seed, rep in scored
             ],
         }
@@ -369,17 +359,29 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             f1s = np.array([rep.f1 for _, rep in scored])
             payload["mean_f1"] = float(f1s.mean())
             payload["std_f1"] = float(f1s.std())
-        out = json.dumps(payload, sort_keys=True, indent=2)
-    elif scored:
-        out = scored[0][1].to_json()
+        _emit(json.dumps(payload, sort_keys=True, indent=2), args.report)
     else:
-        out = json.dumps({"note": "unlabeled split; no scores",
-                          "predictions": runs[0][1].predictions},
-                         sort_keys=True, indent=2, ensure_ascii=False)
-    print(out)
-    if args.report:
-        Path(args.report).write_text(out + "\n", encoding="utf-8")
+        _emit(_split_output(runs[0][1]), args.report)
+    for seed, result in runs:
+        if result.results and result.backend_failures == len(result.results):
+            raise BackendError(f"all {len(result.results)} examples failed with seed {seed}, "
+                               f"the first with: {result.results[0].error}")
     return 0
+
+
+def _split_output(result: SplitResult) -> str:
+    """The score report, or the predictions of an unlabeled split."""
+    if result.report is not None:
+        return result.report.to_json()
+    return json.dumps({"note": "unlabeled split; no scores",
+                       "predictions": result.predictions},
+                      sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def _emit(out: str, report_path: Optional[str]) -> None:
+    print(out)
+    if report_path:
+        Path(report_path).write_text(out + "\n", encoding="utf-8")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -401,12 +403,10 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     rules = load_rules(args.rules) if args.rules else default_rules()
     docs = load_unlabeled_docs(args.unlabeled)
     train = load_corpus(args.train)
-    template = _load_template(args.template)
-    backend = _build_backend(args)
-    embedder = _build_embedder(args)
     config = _run_config(args, args.seed)
+    backend = _build_backend(args, config.template)
     sample = sample_kshot(train, args.k, args.seed)
-    resolver = Resolver(config, sample, backend, embedder=embedder, template=template)
+    resolver = Resolver(config, sample, backend, embedder=_build_embedder(args))
     drop_log = DropLog()
     records = generate_pseudo_labels(
         docs, resolver, args.count, rules,
@@ -428,15 +428,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     result, _config = replay_manifest(args.manifest)
-    if result.report is not None:
-        out = result.report.to_json()
-    else:
-        out = json.dumps({"note": "unlabeled split; no scores",
-                          "predictions": result.predictions},
-                         sort_keys=True, indent=2, ensure_ascii=False)
-    print(out)
-    if args.report:
-        Path(args.report).write_text(out + "\n", encoding="utf-8")
+    _emit(_split_output(result), args.report)
     return 0
 
 

@@ -88,11 +88,11 @@ class DecodeParams:
 
     @classmethod
     def greedy(cls, **overrides) -> "DecodeParams":
-        return cls(mode=DecodeMode.GREEDY, temperature=0.0, **overrides)
+        return cls(mode=DecodeMode.GREEDY, **overrides)
 
     @classmethod
     def nucleus(cls, seed: Optional[int] = None, **overrides) -> "DecodeParams":
-        return cls(mode=DecodeMode.NUCLEUS, temperature=1.0, seed=seed, **overrides)
+        return cls(mode=DecodeMode.NUCLEUS, seed=seed, **overrides)
 
     def with_seed(self, seed: int) -> "DecodeParams":
         return replace(self, seed=seed)
@@ -305,8 +305,8 @@ class MockBackend:
         return self._build_generation(answer, entry, params)
 
     @classmethod
-    def from_fixture(cls, path: str | Path, **kwargs) -> "MockBackend":
-        """Build a mock from a JSON fixture.
+    def from_fixture(cls, path: str | Path, template=None) -> "MockBackend":
+        """Build a mock from a JSON fixture that answers in ``template``'s format.
 
         Scripted form:
             {"mode": "scripted",
@@ -315,26 +315,30 @@ class MockBackend:
                           "slot_completions": {tok: surface, ...}}, ...],
              "default_answer": ...}
 
+        Scripted answers use the default separator; the mock swaps in
+        ``template``'s, which defaults to ``Template()``'s.
+
         Oracle-echo form:
             {"mode": "oracle-echo", "answer_key": "relative/path.jsonl"}
         answers every prompt built from the keyed corpus with the gold
         antecedents, for loopback tests.
         """
+        from .corpus import load_corpus
+        from .prompts import Template
+
+        template = template or Template()
+        swap = (Template().separator, template.separator)
         path = Path(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         mode = payload.get("mode", "scripted")
         if mode == "oracle-echo":
-            from .corpus import load_corpus
-            from .prompts import Template
-
             dataset = load_corpus(path.parent / payload["answer_key"])
-            template = Template()
-            return cls.oracle_echo(dataset, template, **kwargs)
+            return cls.oracle_echo(dataset, template)
         if mode != "scripted":
             raise ValueError(f"unknown mock fixture mode: {mode}")
         entries = [
             ScriptedEntry(
-                answer=e["answer"],
+                answer=e["answer"].replace(*swap),
                 suffix=e.get("suffix"),
                 contains=tuple(e.get("contains", ())),
                 slot_distributions=tuple(e.get("slot_distributions", ())),
@@ -342,7 +346,8 @@ class MockBackend:
             )
             for e in payload.get("entries", ())
         ]
-        return cls(entries, default_answer=payload.get("default_answer", ""), **kwargs)
+        default = payload.get("default_answer", "").replace(*swap)
+        return cls(entries, separator=template.separator, default_answer=default)
 
     @classmethod
     def oracle_echo(

