@@ -28,9 +28,10 @@ from .gateway import (
     DecodeParams,
     HTTPBackend,
     MockBackend,
+    RemoteEmbedder,
     WordTokenizer,
 )
-from .gating import Embedder, RemoteEmbedder
+from .gating import Embedder
 from .metrics import micro_f1
 from .pipeline import (
     Combiner,

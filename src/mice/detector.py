@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .corpus import Dataset, Example, Span
 from .metrics import ScoreReport
@@ -56,23 +56,6 @@ def detect_anaphors(text: str, rules: RuleSet) -> list[Span]:
         accepted.append((start, end))
     accepted.sort()
     return [Span.from_offsets(text, a, b) for a, b in accepted]
-
-
-def evaluate_detection(
-    predicted: Sequence[Span], gold: Sequence[Span]
-) -> ScoreReport:
-    """Score one document's detections by exact span match.
-
-    Duplicate offsets on either side count once. Swapping the arguments
-    exchanges precision and recall.
-    """
-    predicted_set = {s.offsets() for s in predicted}
-    gold_set = {s.offsets() for s in gold}
-    return ScoreReport.from_counts(
-        tp=len(predicted_set & gold_set),
-        fp=len(predicted_set - gold_set),
-        fn=len(gold_set - predicted_set),
-    )
 
 
 def evaluate_rules(dataset: Dataset, rules: RuleSet) -> ScoreReport:

@@ -1,10 +1,12 @@
-"""Language-model access: tokenization, decoding controls, and backends.
+"""Model access: tokenization, decoding controls, backends, and all network I/O.
 
 Two backends share one interface: a scripted in-process mock for tests and
 offline runs, and an HTTP client speaking a completion wire protocol. Both
 return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
-the model again.
+the model again. The HTTP completion client and the remote embedding
+client send their requests through one transport with one retry policy;
+no other module touches the network.
 """
 from __future__ import annotations
 
@@ -409,13 +411,71 @@ def parse_response(payload: dict) -> Generation:
         raise BackendError(f"malformed completion response: {exc}") from exc
 
 
-class HTTPBackend:
-    """Completion client for an HTTP endpoint speaking the wire schema.
+class _JSONTransport:
+    """POSTs JSON to one endpoint and decodes the reply, with bounded retries.
 
-    Retries transport errors and 5xx responses up to three attempts with
-    exponential backoff; 4xx responses and 200 responses whose body does
-    not decode fail immediately. A bounded semaphore caps in-flight requests.
+    Transport errors and 5xx responses are retried up to ``max_attempts``
+    times with exponential backoff; a 4xx response, or a 2xx body that
+    ``decode`` rejects, fails at once. A bounded semaphore caps in-flight
+    requests. Every failure is a ``BackendError`` whose message starts with
+    ``label``, which names the endpoint.
     """
+
+    def __init__(self, label: str, endpoint: str, token: Optional[str], timeout: float,
+                 sleep: Callable[[float], None], max_in_flight: int = 8,
+                 max_attempts: int = 3, backoff: float = 0.5):
+        import requests
+
+        self._label = label
+        self._endpoint = endpoint.rstrip("/")
+        self._headers = {"Content-Type": "application/json"}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
+        self._timeout = timeout
+        self._sleep = sleep
+        self._max_attempts = max_attempts
+        self._backoff = backoff
+        self._semaphore = threading.BoundedSemaphore(max_in_flight)
+        self._session = requests.Session()
+
+    def post(self, body: dict, decode: Callable):
+        """Send ``body``; return ``decode`` applied to the JSON reply."""
+        import requests
+
+        last_error: Optional[str] = None
+        last_status: Optional[int] = None
+        for attempt in range(1, self._max_attempts + 1):
+            try:
+                with self._semaphore:
+                    resp = self._session.post(self._endpoint, json=body, headers=self._headers,
+                                              timeout=self._timeout)
+            except requests.RequestException as exc:
+                last_error = str(exc)
+            else:
+                status = last_status = resp.status_code
+                if 200 <= status < 300:
+                    try:
+                        return decode(resp.json())
+                    except (BackendError, KeyError, TypeError, ValueError) as exc:
+                        raise BackendError(
+                            f"{self._label} returned HTTP {status} with unusable body: {exc}",
+                            attempts=attempt, status=status,
+                        ) from exc
+                last_error = f"HTTP {status}"
+                if 400 <= status < 500:
+                    raise BackendError(f"{self._label} rejected: {last_error}",
+                                       attempts=attempt, status=status)
+            logger.warning("%s attempt %d failed: %s", self._label, attempt, last_error)
+            if attempt < self._max_attempts:
+                self._sleep(self._backoff * (2 ** (attempt - 1)))
+        raise BackendError(
+            f"{self._label} failed after {self._max_attempts} attempts: {last_error}",
+            attempts=self._max_attempts, status=last_status,
+        )
+
+
+class HTTPBackend:
+    """Completion client for an HTTP endpoint speaking the wire schema."""
 
     def __init__(
         self,
@@ -427,61 +487,30 @@ class HTTPBackend:
         backoff: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        import requests
-
-        self._endpoint = endpoint.rstrip("/")
-        self._token = token
-        self._timeout = timeout
-        self._max_attempts = max_attempts
-        self._backoff = backoff
-        self._sleep = sleep
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._session = requests.Session()
+        self._transport = _JSONTransport("completion", endpoint, token, timeout, sleep,
+                                         max_in_flight, max_attempts, backoff)
 
     def complete(self, prompt: str, params: DecodeParams) -> Generation:
-        import requests
+        return self._transport.post(build_request(prompt, params), parse_response)
 
-        body = build_request(prompt, params)
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        last_error: Optional[str] = None
-        last_status: Optional[int] = None
-        for attempt in range(1, self._max_attempts + 1):
-            try:
-                with self._semaphore:
-                    resp = self._session.post(
-                        self._endpoint, json=body, headers=headers, timeout=self._timeout
-                    )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                logger.warning("completion attempt %d failed: %s", attempt, exc)
-            else:
-                last_status = resp.status_code
-                if resp.status_code == 200:
-                    try:
-                        return parse_response(resp.json())
-                    except (ValueError, BackendError) as exc:  # not JSON, or invalid
-                        raise BackendError(
-                            f"HTTP 200 with unusable body: {exc}",
-                            attempts=attempt,
-                            status=200,
-                        ) from exc
-                last_error = f"HTTP {resp.status_code}"
-                if 400 <= resp.status_code < 500:
-                    raise BackendError(
-                        f"completion rejected: {last_error}",
-                        attempts=attempt,
-                        status=resp.status_code,
-                    )
-                logger.warning("completion attempt %d got %s", attempt, last_error)
-            if attempt < self._max_attempts:
-                self._sleep(self._backoff * (2 ** (attempt - 1)))
-        raise BackendError(
-            f"completion failed after {self._max_attempts} attempts: {last_error}",
-            attempts=self._max_attempts,
-            status=last_status,
-        )
+
+class RemoteEmbedder:
+    """Client for an embedding endpoint: POST {"texts": [...]} -> {"vectors": [...]}."""
+
+    def __init__(self, endpoint: str, token: Optional[str] = None, timeout: float = 60.0,
+                 sleep: Callable[[float], None] = time.sleep):
+        self._transport = _JSONTransport("embedding request", endpoint, token, timeout, sleep)
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text; any failure of the endpoint raises ``BackendError``."""
+
+        def vectors(payload) -> np.ndarray:
+            rows = np.asarray(payload["vectors"], dtype=np.float64)
+            if rows.shape[:1] != (len(texts),):
+                raise ValueError(f"shape {rows.shape} for {len(texts)} texts")
+            return rows
+
+        return self._transport.post({"texts": list(texts)}, vectors)
 
 
 def complete_many(

@@ -3,22 +3,19 @@
 Each prompt is scored by how similar its demonstrations are to the test
 passage; a softmax over those scores yields the mixture weight of each
 prompt. Embedding is pluggable: a deterministic feature-hashing embedder
-ships with the package, and a remote endpoint client covers real encoders.
+ships here, and ``mice.gateway.RemoteEmbedder`` covers real encoders. This
+module does no I/O.
 """
 from __future__ import annotations
 
 import hashlib
-import logging
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .gateway import BackendError
 from .prompts import Prompt
-
-logger = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -56,49 +53,6 @@ class HashingEmbedder:
                 out[row, self._bucket(tok)] += 1.0
             out[row] /= np.linalg.norm(out[row])
         return out
-
-
-class RemoteEmbedder:
-    """Client for an embedding endpoint: POST {"texts": [...]} -> {"vectors": [...]}."""
-
-    def __init__(self, endpoint: str, token: Optional[str] = None, timeout: float = 60.0):
-        import requests
-
-        self._endpoint = endpoint.rstrip("/")
-        self._token = token
-        self._timeout = timeout
-        self._session = requests.Session()
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed a batch; any failure of the endpoint raises ``BackendError``."""
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        try:
-            resp = self._session.post(
-                self._endpoint, json={"texts": list(texts)}, headers=headers,
-                timeout=self._timeout,
-            )
-        except requests.RequestException as exc:
-            raise BackendError(f"embedding request failed: {exc}") from exc
-        if not 200 <= resp.status_code < 300:
-            raise BackendError(
-                f"embedding rejected: HTTP {resp.status_code}", status=resp.status_code
-            )
-        try:
-            vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendError(
-                f"malformed embedding response: {exc}", status=resp.status_code
-            ) from exc
-        if vectors.shape[:1] != (len(texts),):
-            raise BackendError(
-                f"endpoint returned shape {vectors.shape} for {len(texts)} texts",
-                status=resp.status_code,
-            )
-        return vectors
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -337,40 +337,52 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
     values. The returned result carries freshly computed candidates and
     finals plus a recomputed score report.
     """
-    header: Optional[dict] = None
-    entries: list[dict] = []
+    config: Optional[RunConfig] = None
+    entries: list[tuple] = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            payload = json.loads(line)
-            kind = payload.get("record")
-            if kind == "header":
-                header = payload
-            elif kind == "entry":
-                entries.append(payload)
-    if header is None:
+            try:
+                payload = json.loads(line)
+                kind = payload.get("record")
+                if kind == "header":
+                    config = _decode_header(payload)
+                elif kind == "entry":
+                    entries.append(_decode_entry(payload))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValueError(f"manifest {path} line {lineno}: {detail}") from exc
+    if config is None:
         raise ValueError(f"manifest {path} has no header")
+    tokenizer = WordTokenizer()
+    results = [
+        _failed(key, gold, error) if error or not generations
+        else _finish(key, gold, prompt_ids, gating, generations, config, tokenizer)
+        for key, gold, prompt_ids, gating, generations, error in entries
+    ]
+    return _assemble_split_result(results), config
+
+
+def _decode_header(header: dict) -> RunConfig:
     schema = header.get("schema")
     if schema not in (MANIFEST_SCHEMA, _SCHEMA_V1):
         raise ValueError(f"unsupported manifest schema: {schema!r}")
     config_json = header["config"]
     if schema == _SCHEMA_V1:  # predates config.template; such runs used the default
         config_json = {**config_json, "template": to_json(RunConfig.template)}
-    config = from_json(RunConfig, config_json)
-    tokenizer = WordTokenizer()
-    results = [_replay_entry(entry, config, tokenizer) for entry in entries]
-    return _assemble_split_result(results), config
+    return from_json(RunConfig, config_json)
 
 
-def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> ResolutionResult:
-    gold = tuple(entry["gold"]) if entry.get("gold") is not None else None
-    generations = from_json(tuple[Generation, ...], entry.get("generations", ()))
-    if entry.get("error") or not generations:
-        return _failed(entry["key"], gold, entry.get("error"))
+def _decode_entry(entry: dict) -> tuple:
+    """An entry's key, gold, prompt ids, gate, generations and error."""
+    gold = entry.get("gold")
     weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
-    return _finish(
-        entry["key"], gold, tuple(entry.get("prompt_ids", ())),
+    return (
+        entry["key"],
+        tuple(gold) if gold is not None else None,
+        tuple(entry.get("prompt_ids", ())),
         GatingDistribution(weights) if weights else None,
-        generations, config, tokenizer,
+        from_json(tuple[Generation, ...], entry.get("generations", ())),
+        entry.get("error"),
     )

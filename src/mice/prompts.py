@@ -18,7 +18,7 @@ budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -59,6 +59,21 @@ class Template:
     answer_prefix: str = "Answer:"
     separator: str = "|"
     demonstration_joiner: str = "\n\n"
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str):
+                raise ValueError(
+                    f"template field {f.name} must be a string, not {type(value).__name__}"
+                )
+        try:
+            self.question_pattern.format(anaphor="the mixture")
+        except (AttributeError, IndexError, KeyError, ValueError) as exc:
+            raise ValueError(
+                f"question_pattern {self.question_pattern!r} must format with "
+                f"{{anaphor}} alone: {exc!r}"
+            ) from exc
 
     def question(self, example: Example) -> str:
         return self.question_pattern.format(anaphor=example.anaphor.surface)

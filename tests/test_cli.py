@@ -1,6 +1,8 @@
 """Command-line workflows: exit codes, outputs, files."""
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -23,6 +25,7 @@ SCRIPTED = str(FIXTURES / "scripted_mock.json")
 UNLABELED = str(FIXTURES / "unlabeled_docs.jsonl")
 DETECTOR_EVAL = str(FIXTURES / "detector_eval.jsonl")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # The directory holding the imported `mice` package (`src/` in a checkout).
 PACKAGE_ROOT = Path(mice.__file__).resolve().parents[1]
 
@@ -251,6 +254,19 @@ class TestResolve:
         assert run(resolve_args("--seed", "1", "--template", str(template))) == 1
         assert "unknown template fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"separator": 1}, {"question_pattern": "What about {thing}?"}],
+        ids=["non-string-field", "unknown-placeholder"],
+    )
+    def test_malformed_template_is_exit_one(self, tmp_path, capsys, fields):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps(fields), encoding="utf-8")
+        assert run(resolve_args("--seed", "1", "--template", str(template))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestEval:
     def gold_predictions(self):
@@ -311,6 +327,38 @@ class TestReplay:
         path.write_text('{"record": "entry", "key": "x"}\n', encoding="utf-8")
         assert run(["replay", "--manifest", str(path)]) == 1
         assert "no header" in capsys.readouterr().err
+
+    @staticmethod
+    def drop_key(line):
+        entry = json.loads(line)
+        del entry["key"]
+        return json.dumps(entry)
+
+    @staticmethod
+    def drop_generation_text(line):
+        entry = json.loads(line)
+        del entry["generations"][0]["text"]
+        return json.dumps(entry)
+
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            (drop_key, "missing field 'key'"),
+            (drop_generation_text, "missing field 'text'"),
+            (lambda line: line[: len(line) // 2], "line 1 column"),
+        ],
+        ids=["entry-without-key", "generation-without-text", "truncated-line"],
+    )
+    def test_malformed_entry_names_file_and_line(self, tmp_path, capsys, corrupt, detail):
+        manifest = self.make_manifest(tmp_path)
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines[1] = corrupt(lines[1])
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["replay", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} line 2: ")
+        assert detail in err
 
 
 class TestDistill:
@@ -436,3 +484,23 @@ def test_module_invocation_matches(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["true_positives"] == 48
+
+
+def quickstart_commands():
+    """The argument lists of the `mice` lines in the README's Quickstart block."""
+    section = README.read_text(encoding="utf-8").split("## Quickstart", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mice ")]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "fixtures").symlink_to(FIXTURES)
+    monkeypatch.chdir(tmp_path)
+    commands = quickstart_commands()
+    assert [argv[0] for argv in commands] == [
+        "resolve", "replay", "detect", "detect", "distill",
+    ]
+    for argv in commands:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)

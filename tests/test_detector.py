@@ -7,7 +7,6 @@ from mice.detector import (
     default_rules,
     detect_anaphors,
     detect_examples,
-    evaluate_detection,
     evaluate_rules,
     load_rules,
 )
@@ -54,25 +53,6 @@ class TestRuleSet:
         assert [s.surface for s in spans] == ["the mixture was"]
 
 
-class TestEvaluateDetection:
-    def test_exact_offsets_required(self):
-        gold = [Span(5, 16, "the mixture")]
-        off_by_one = [Span(4, 16, " the mixture")]
-        report = evaluate_detection(off_by_one, gold)
-        assert (report.true_positives, report.false_positives, report.false_negatives) == (0, 1, 1)
-
-    def test_perfect_match(self):
-        gold = [Span(5, 16, "the mixture"), Span(30, 41, "the residue")]
-        report = evaluate_detection(list(gold), gold)
-        assert report.f1 == 1.0
-
-    def test_zero_division_conventions(self):
-        empty = evaluate_detection([], [])
-        assert (empty.precision, empty.recall, empty.f1) == (0.0, 0.0, 0.0)
-        no_pred = evaluate_detection([], [Span(0, 3, "Add")])
-        assert (no_pred.precision, no_pred.recall, no_pred.f1) == (0.0, 0.0, 0.0)
-
-
 class TestEvaluateRules:
     def test_pooled_counts_over_documents(self):
         text_hit = "Add water. Then the mixture was stirred."
@@ -97,6 +77,12 @@ class TestEvaluateRules:
         rules = RuleSet(("the mixture", "the residue"))
         report = evaluate_rules(ds, rules)
         assert (report.true_positives, report.false_positives, report.false_negatives) == (2, 0, 0)
+
+    def test_exact_offsets_required(self):
+        text = "Then the mixture was stirred."
+        off_by_one = Example("doc", text, Span.from_offsets(text, 4, 16))
+        report = evaluate_rules(Dataset((off_by_one,), "one"), RuleSet(("the mixture",)))
+        assert (report.true_positives, report.false_positives, report.false_negatives) == (0, 1, 1)
 
 
 class TestDefaultRules:

@@ -1,4 +1,5 @@
-"""Decode parameters, nucleus sampling, mock and HTTP backends."""
+"""Decode parameters, nucleus sampling, mock backend, HTTP clients and their transport."""
+import functools
 import json
 import math
 import threading
@@ -15,6 +16,7 @@ from mice.gateway import (
     Generation,
     HTTPBackend,
     MockBackend,
+    RemoteEmbedder,
     ScriptedEntry,
     WordTokenizer,
     build_request,
@@ -274,11 +276,30 @@ def http_backend(outcomes, **kwargs):
     backend = HTTPBackend(
         "http://lm.test/v1/complete", sleep=sleeps.append, **kwargs
     )
-    backend._session = FakeSession(outcomes)
-    return backend, backend._session, sleeps
+    session = backend._transport._session = FakeSession(outcomes)
+    return backend, session, sleeps
 
 
 GOOD = {"choices": [{"text": "water"}]}
+
+
+def both_clients(outcomes):
+    """The completion and the embedding client, each replaying ``outcomes``.
+
+    An int in ``outcomes`` is a response with that status and the client's
+    valid body. Yields ``(send, expected, session, sleeps)``: ``send()``
+    makes one request and returns ``expected`` when it succeeds.
+    """
+    for make, send, body, expected in (
+        (HTTPBackend, lambda c: c.complete("p", DecodeParams.greedy()).text, GOOD, "water"),
+        (RemoteEmbedder, lambda c: c.embed(["p"]).tolist(), {"vectors": [[1.0]]}, [[1.0]]),
+    ):
+        sleeps = []
+        client = make("http://model.test/v1", sleep=sleeps.append)
+        session = client._transport._session = FakeSession(
+            FakeResponse(o, body) if isinstance(o, int) else o for o in outcomes
+        )
+        yield functools.partial(send, client), expected, session, sleeps
 
 
 class TestHTTPBackend:
@@ -296,35 +317,37 @@ class TestHTTPBackend:
         assert session.calls[0]["headers"]["Authorization"] == "Bearer secret"
 
     def test_transient_errors_retry_with_backoff(self):
-        backend, session, sleeps = http_backend(
-            [
-                requests.exceptions.ConnectionError("down"),
-                FakeResponse(500),
-                FakeResponse(200, GOOD),
-            ]
-        )
-        gen = backend.complete("p", DecodeParams.greedy())
-        assert gen.text == "water"
-        assert len(session.calls) == 3
-        assert sleeps == [0.5, 1.0]
+        for send, expected, session, sleeps in both_clients(
+            [requests.exceptions.ConnectionError("down"), FakeResponse(500), 200]
+        ):
+            assert send() == expected
+            assert len(session.calls) == 3
+            assert sleeps == [0.5, 1.0]
 
     def test_exhausted_retries_raise(self):
-        backend, _, _ = http_backend(
+        for send, _, _, sleeps in both_clients(
             [FakeResponse(503), FakeResponse(503), FakeResponse(503)]
-        )
-        with pytest.raises(BackendError) as info:
-            backend.complete("p", DecodeParams.greedy())
-        assert info.value.attempts == 3
-        assert info.value.status == 503
+        ):
+            with pytest.raises(BackendError) as info:
+                send()
+            assert info.value.attempts == 3
+            assert info.value.status == 503
+            assert sleeps == [0.5, 1.0]
 
     def test_client_errors_fail_immediately(self):
-        backend, session, sleeps = http_backend([FakeResponse(401)])
-        with pytest.raises(BackendError) as info:
-            backend.complete("p", DecodeParams.greedy())
-        assert info.value.attempts == 1
-        assert info.value.status == 401
-        assert len(session.calls) == 1
-        assert sleeps == []
+        for send, _, session, sleeps in both_clients([FakeResponse(401)]):
+            with pytest.raises(BackendError) as info:
+                send()
+            assert info.value.attempts == 1
+            assert info.value.status == 401
+            assert len(session.calls) == 1
+            assert sleeps == []
+
+    def test_any_2xx_body_is_decoded(self):
+        for send, expected, session, sleeps in both_clients([201]):
+            assert send() == expected
+            assert len(session.calls) == 1
+            assert sleeps == []
 
     @pytest.mark.parametrize(
         "payload",
@@ -338,13 +361,14 @@ class TestHTTPBackend:
         ids=["not-json", "fewer-maps-than-tokens", "positive-logprob"],
     )
     def test_malformed_body_is_a_backend_error(self, payload):
-        backend, session, sleeps = http_backend([FakeResponse(200, payload)])
-        with pytest.raises(BackendError, match="unusable body") as info:
-            backend.complete("p", DecodeParams.greedy())
-        assert info.value.status == 200
-        assert info.value.attempts == 1
-        assert len(session.calls) == 1
-        assert sleeps == []
+        # None of these bodies decodes for either client.
+        for send, _, session, sleeps in both_clients([FakeResponse(200, payload)]):
+            with pytest.raises(BackendError, match="unusable body") as info:
+                send()
+            assert info.value.status == 200
+            assert info.value.attempts == 1
+            assert len(session.calls) == 1
+            assert sleeps == []
 
 
 class TestCompleteMany:

@@ -7,11 +7,10 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mice.gateway import BackendError
+from mice.gateway import BackendError, RemoteEmbedder
 from mice.gating import (
     GatingDistribution,
     HashingEmbedder,
-    RemoteEmbedder,
     cosine,
     gate,
     similarities,
@@ -67,35 +66,39 @@ class TestHashingEmbedder:
         assert cosine(a, b) > cosine(a, c)
 
 
-def remote_embedder(outcome):
-    embedder = RemoteEmbedder("http://embed.test/v1/embed", token="secret")
-    embedder._session = FakeSession([outcome])
+def remote_embedder(outcomes):
+    embedder = RemoteEmbedder(
+        "http://embed.test/v1/embed", token="secret", sleep=lambda s: None
+    )
+    embedder._transport._session = FakeSession(outcomes)
     return embedder
 
 
 class TestRemoteEmbedder:
     def test_returns_one_vector_per_text(self):
-        embedder = remote_embedder(FakeResponse(200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]}))
+        embedder = remote_embedder([FakeResponse(200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]})])
         vectors = embedder.embed(["a", "b"])
         assert vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert embedder._session.calls[0]["json"] == {"texts": ["a", "b"]}
-        assert embedder._session.calls[0]["headers"]["Authorization"] == "Bearer secret"
+        call = embedder._transport._session.calls[0]
+        assert call["json"] == {"texts": ["a", "b"]}
+        assert call["headers"]["Authorization"] == "Bearer secret"
 
     @pytest.mark.parametrize(
-        "outcome",
+        "outcomes, attempts",
         [
-            requests.exceptions.ConnectionError("connection refused"),
-            requests.exceptions.Timeout("read timed out"),
-            FakeResponse(503),
-            FakeResponse(200, requests.JSONDecodeError("Expecting value", "<html>", 0)),
-            FakeResponse(200, {"embeddings": []}),
-            FakeResponse(200, {"vectors": [[1.0, 0.0]]}),
+            ([requests.exceptions.ConnectionError("connection refused")] * 3, 3),
+            ([requests.exceptions.Timeout("read timed out")] * 3, 3),
+            ([FakeResponse(503)] * 3, 3),
+            ([FakeResponse(200, requests.JSONDecodeError("Expecting value", "<html>", 0))], 1),
+            ([FakeResponse(200, {"embeddings": []})], 1),
+            ([FakeResponse(200, {"vectors": [[1.0, 0.0]]})], 1),
         ],
         ids=["unreachable", "timeout", "http-503", "not-json", "no-vectors", "wrong-count"],
     )
-    def test_endpoint_failures_are_backend_errors(self, outcome):
-        with pytest.raises(BackendError):
-            remote_embedder(outcome).embed(["a", "b"])
+    def test_endpoint_failures_are_backend_errors(self, outcomes, attempts):
+        with pytest.raises(BackendError, match="^embedding request") as info:
+            remote_embedder(outcomes).embed(["a", "b"])
+        assert info.value.attempts == attempts
 
 
 class TestCosine:

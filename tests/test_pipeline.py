@@ -13,9 +13,9 @@ from mice.gateway import (
     Generation,
     HTTPBackend,
     MockBackend,
+    RemoteEmbedder,
     WordTokenizer,
 )
-from mice.gating import RemoteEmbedder
 from mice.pipeline import (
     MANIFEST_SCHEMA,
     Combiner,
@@ -255,7 +255,7 @@ class TestResolveSplit:
                 )
 
         backend = HTTPBackend("http://lm.test/v1/complete", sleep=lambda s: None)
-        backend._session = Session()
+        backend._transport._session = Session()
         config = RunConfig(combiner=Combiner.KATE, parallelism=1)
         split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
         errors = {r.key: r.error for r in split_result.results}
@@ -271,8 +271,8 @@ class TestResolveSplit:
                     raise requests.exceptions.ConnectionError("connection reset")
                 return FakeResponse(200, {"vectors": [[1.0, 0.0]] * len(json["texts"])})
 
-        embedder = RemoteEmbedder("http://embed.test/v1/embed")
-        embedder._session = Session()
+        embedder = RemoteEmbedder("http://embed.test/v1/embed", sleep=lambda s: None)
+        embedder._transport._session = Session()
         resolver = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder=embedder)
         split_result = resolver.resolve_split(TEST3)
         errors = {r.key: r.error for r in split_result.results}
