@@ -53,7 +53,7 @@ class WordTokenizer:
         return [m.span() for m in _TOKEN_RE.finditer(text)]
 
     def count(self, text: str) -> int:
-        return sum(1 for _ in _TOKEN_RE.finditer(text))
+        return len(_TOKEN_RE.findall(text))
 
 
 class DecodeMode(str, Enum):
@@ -520,12 +520,23 @@ def complete_many(
 ) -> list[Generation]:
     """Send ``(prompt, params)`` requests to the backend, preserving order.
 
-    This is the only place a backend is called. Results come back indexed
-    by position regardless of completion order, so downstream aggregation
-    never depends on thread scheduling.
+    This is the only place a backend is called. Each distinct request is
+    sent once and its generation is returned at every position that asked
+    for it; a nucleus request without a seed is an independent draw and is
+    never merged. Results come back indexed by position regardless of
+    completion order, so downstream aggregation never depends on thread
+    scheduling.
     """
-    if parallelism <= 1 or len(requests) <= 1:
-        return [backend.complete(prompt, params) for prompt, params in requests]
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(requests))) as pool:
-        futures = [pool.submit(backend.complete, prompt, params) for prompt, params in requests]
-        return [f.result() for f in futures]
+    keys = []
+    for i, (prompt, params) in enumerate(requests):
+        independent = params.mode is DecodeMode.NUCLEUS and params.seed is None
+        keys.append((prompt, params, i if independent else None))
+    unique = list(dict.fromkeys(keys))
+    if parallelism <= 1 or len(unique) <= 1:
+        sent = [backend.complete(prompt, params) for prompt, params, _ in unique]
+    else:
+        with ThreadPoolExecutor(max_workers=min(parallelism, len(unique))) as pool:
+            futures = [pool.submit(backend.complete, p, params) for p, params, _ in unique]
+            sent = [f.result() for f in futures]
+    by_key = dict(zip(unique, sent))
+    return [by_key[key] for key in keys]

@@ -18,6 +18,8 @@ budget.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -177,6 +179,21 @@ def tuple_from_universe_index(u: int, k: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4)
+def _universe_table(k: int, d: int) -> np.ndarray:
+    """Row u is ``tuple_from_universe_index(u, k, d)``; read-only, shape (total, d)."""
+    if d <= 2:
+        tuples = itertools.product(range(k), repeat=d)
+    else:
+        tuples = itertools.permutations(range(k), d)
+    total = universe_size(k, d)
+    table = np.fromiter(
+        itertools.chain.from_iterable(tuples), dtype=np.intp, count=total * d
+    ).reshape(total, d)
+    table.flags.writeable = False
+    return table
+
+
 def universe_index_from_tuple(demo_indices: Sequence[int], k: int) -> int:
     """Inverse of tuple_from_universe_index."""
     d = len(demo_indices)
@@ -228,12 +245,16 @@ def _select_universe_indices(
         if n == total:
             return list(range(total))
         if config.selection is Selection.TOP_GATED:
-            scores = [
-                (-sum(similarities[i] for i in tuple_from_universe_index(u, k, d)), u)
-                for u in range(total)
-            ]
-            scores.sort()
-            return sorted(u for _, u in scores[:n])
+            sims = np.asarray(similarities, dtype=float)
+            table = _universe_table(k, d)
+            # Summed column by column, left to right, so each score is the
+            # same float Python's sum() gives for the tuple.
+            score = np.zeros(total)
+            for column in table.T:
+                score = score + sims[column]
+            # A stable sort breaks ties by universe index.
+            best = np.argsort(-score, kind="stable")[:n]
+            return sorted(best.tolist())
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed])))
         indices = list(range(total))
         for i in range(n):

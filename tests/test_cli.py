@@ -1,4 +1,5 @@
 """Command-line workflows: exit codes, outputs, files."""
+import functools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from mice import cli
 from mice.cli import run
 from mice.corpus import load_corpus, sample_kshot
 from mice.distill import load_records
-from mice.gateway import BackendError, MockBackend
+from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
 
 TRAIN = str(FIXTURES / "synthetic_train.jsonl")
 CLI_TEST = str(FIXTURES / "cli_test.jsonl")
@@ -195,10 +196,15 @@ class TestResolve:
         assert code == 1
         assert "no backend" in capsys.readouterr().err
 
-    def test_unreachable_embed_endpoint_is_exit_two(self, capsys):
+    def test_unreachable_embed_endpoint_is_exit_two(self, capsys, monkeypatch):
+        slept = []
+        monkeypatch.setattr(
+            "mice.cli.RemoteEmbedder", functools.partial(RemoteEmbedder, sleep=slept.append)
+        )
         code = run(resolve_args("--seed", "1", "--embed-endpoint", "http://127.0.0.1:1"))
         assert code == 2
         assert "backend error: embedding request failed" in capsys.readouterr().err
+        assert slept == [0.5, 1.0]
 
     def test_template_override(self, tmp_path, capsys):
         template = tmp_path / "template.json"
@@ -405,7 +411,11 @@ class TestDistill:
         assert code == 1
         assert "anaphors detected" in capsys.readouterr().err
 
-    def test_backend_failure_is_exit_two(self, tmp_path, capsys):
+    def test_backend_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        slept = []
+        monkeypatch.setattr(
+            "mice.cli.HTTPBackend", functools.partial(HTTPBackend, sleep=slept.append)
+        )
         code = run(
             ["distill", "--unlabeled", UNLABELED, "--count", "1",
              "--out", str(tmp_path / "x.jsonl"), "--train", TRAIN, "--k", "4",
@@ -413,6 +423,7 @@ class TestDistill:
         )
         assert code == 2
         assert "backend error" in capsys.readouterr().err
+        assert slept == [0.5, 1.0]
 
 
 def checkout_env():

@@ -116,7 +116,10 @@ class TestResolveOne:
         # k=4 demos, 2 per prompt, with repetition: 16 prompts.
         assert result.prompt_ids == tuple(range(16))
         assert result.request_count == 16
-        assert backend.request_count == 16
+        # Under ascend ordering (i, j) and (j, i) render to the same text,
+        # and complete_many sends each distinct request once: the 4
+        # diagonal prompts plus the 6 distinct pairs reach the backend.
+        assert backend.request_count == 10
         assert sum(result.gating.weights.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(c.combined_prob == pytest.approx(1.0) for c in result.final)
 

@@ -13,6 +13,8 @@ from mice.prompts import (
     PromptSetConfig,
     Selection,
     Template,
+    _select_universe_indices,
+    _universe_table,
     enumerate_prompts,
     order_demonstrations,
     select_kate_prompt,
@@ -37,6 +39,17 @@ def parse(template, generated):
     return list(prediction.generated_antecedents)
 
 
+def reference_top_gated(k, d, max_prompts, similarities):
+    """Top-gated selection as a plain sort of (-summed similarity, index)."""
+    total = universe_size(k, d)
+    scores = [
+        (-sum(similarities[i] for i in tuple_from_universe_index(u, k, d)), u)
+        for u in range(total)
+    ]
+    scores.sort()
+    return sorted(u for _, u in scores[: min(max_prompts, total)])
+
+
 class TestTokenizer:
     def test_separator_counts_as_one_token(self):
         assert TOK.count("water | DCM") == 3
@@ -48,6 +61,10 @@ class TestTokenizer:
         text = "Add 5 mL of H2O; stir."
         spans = TOK.span_tokenize(text)
         assert [text[a:b] for a, b in spans] == TOK.tokenize(text)
+
+    @given(st.text())
+    def test_count_agrees_with_spans(self, text):
+        assert TOK.count(text) == len(TOK.span_tokenize(text))
 
 
 class TestTemplate:
@@ -134,6 +151,15 @@ class TestUniverse:
         combos = [tuple_from_universe_index(u, 4, 3) for u in range(universe_size(4, 3))]
         assert combos == sorted(combos)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_table_rows_decode_their_index(self, d):
+        for k in range(1, 7):
+            table = _universe_table(k, d)
+            rows = [tuple(row) for row in table.tolist()]
+            assert rows == [
+                tuple_from_universe_index(u, k, d) for u in range(universe_size(k, d))
+            ]
+
 
 class TestOrdering:
     SIMS = [0.9, 0.1, 0.5]
@@ -186,6 +212,20 @@ class TestSelection:
         # in universe order.
         assert [p.universe_index for p in prompts] == [7, 11, 14, 15]
         assert [p.prompt_id for p in prompts] == [0, 1, 2, 3]
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 8), st.integers(1, 3), st.integers(1, 600), st.data())
+    def test_top_gated_matches_reference_sort(self, k, d, max_prompts, data):
+        # Similarities rounded to one decimal force many tied scores.
+        sims = data.draw(
+            st.lists(
+                st.integers(-10, 10).map(lambda i: i / 10), min_size=k, max_size=k
+            )
+        )
+        config = PromptSetConfig(demos_per_prompt=d, max_prompts=max_prompts)
+        assert _select_universe_indices(k, config, sims) == reference_top_gated(
+            k, d, max_prompts, sims
+        )
 
     def test_seeded_random_is_reproducible(self):
         sample = tiny_sample()
