@@ -6,16 +6,25 @@ return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
 the model again. The HTTP completion client and the remote embedding
 client send their requests through one transport with one retry policy;
-no other module touches the network.
+no other module touches the network. The transport is the standard
+library's ``http.client``: each client keeps at most ``max_in_flight``
+keep-alive connections to its endpoint, verifies TLS with the default
+``ssl`` context, follows no redirects, and reads no proxy variables or
+``~/.netrc``.
 """
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import logging
 import math
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -81,8 +90,8 @@ class DecodeParams:
             raise ValueError("top_k must be positive")
         if not (0.0 < self.top_p <= 1.0):
             raise ValueError("top_p must be in (0, 1]")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and non-negative")
         if self.logprob_depth < 0:
             raise ValueError("logprob_depth must be non-negative")
         if self.mode is DecodeMode.NUCLEUS and self.temperature == 0.0:
@@ -412,57 +421,69 @@ def parse_response(payload: dict) -> Generation:
 
 
 class _JSONTransport:
-    """POSTs JSON to one endpoint and decodes the reply, with bounded retries.
+    """POSTs JSON to one endpoint over pooled keep-alive connections, with bounded retries.
 
-    Transport errors and 5xx responses are retried up to ``max_attempts``
-    times with exponential backoff; a 4xx response, or a 2xx body that
-    ``decode`` rejects, fails at once. A bounded semaphore caps in-flight
-    requests. Every failure is a ``BackendError`` whose message starts with
+    ``endpoint`` must be an ``http`` or ``https`` URL with a host; anything
+    else raises ``ValueError`` at construction. Transport errors and 5xx
+    responses are retried up to ``max_attempts`` times with exponential
+    backoff; any other non-2xx response (redirects are not followed), or a
+    2xx body that ``decode`` rejects, fails at once. A bounded semaphore
+    caps in-flight requests, and with them the open connections: a request
+    takes an idle connection or, when none is left, opens one, and hands it
+    back unless the reply said the server will close it. An idle connection
+    the server has closed is discarded before use, so it costs no attempt.
+    Every failure is a ``BackendError`` whose message starts with
     ``label``, which names the endpoint.
     """
 
     def __init__(self, label: str, endpoint: str, token: Optional[str], timeout: float,
                  sleep: Callable[[float], None], max_in_flight: int = 8,
                  max_attempts: int = 3, backoff: float = 0.5):
-        import requests
-
+        url = urllib.parse.urlsplit(endpoint.rstrip("/"))
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"{label} endpoint is not an http:// or https:// URL "
+                             f"with a host: {endpoint!r}")
+        if url.scheme == "https":
+            self._connect = functools.partial(
+                http.client.HTTPSConnection, url.hostname, url.port, timeout=timeout,
+                context=ssl.create_default_context())
+        else:
+            self._connect = functools.partial(
+                http.client.HTTPConnection, url.hostname, url.port, timeout=timeout)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._label = label
-        self._endpoint = endpoint.rstrip("/")
         self._headers = {"Content-Type": "application/json"}
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
-        self._timeout = timeout
         self._sleep = sleep
         self._max_attempts = max_attempts
         self._backoff = backoff
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._session = requests.Session()
+        self._idle: list[http.client.HTTPConnection] = []
 
     def post(self, body: dict, decode: Callable):
         """Send ``body``; return ``decode`` applied to the JSON reply."""
-        import requests
-
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
         last_error: Optional[str] = None
         last_status: Optional[int] = None
         for attempt in range(1, self._max_attempts + 1):
             try:
                 with self._semaphore:
-                    resp = self._session.post(self._endpoint, json=body, headers=self._headers,
-                                              timeout=self._timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
+                    status, data = self._round_trip(payload)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = f"{type(exc).__name__}: {exc}"
             else:
-                status = last_status = resp.status_code
+                last_status = status
                 if 200 <= status < 300:
                     try:
-                        return decode(resp.json())
+                        return decode(json.loads(data))
                     except (BackendError, KeyError, TypeError, ValueError) as exc:
                         raise BackendError(
                             f"{self._label} returned HTTP {status} with unusable body: {exc}",
                             attempts=attempt, status=status,
                         ) from exc
                 last_error = f"HTTP {status}"
-                if 400 <= status < 500:
+                if status < 500:
                     raise BackendError(f"{self._label} rejected: {last_error}",
                                        attempts=attempt, status=status)
             logger.warning("%s attempt %d failed: %s", self._label, attempt, last_error)
@@ -472,6 +493,42 @@ class _JSONTransport:
             f"{self._label} failed after {self._max_attempts} attempts: {last_error}",
             attempts=self._max_attempts, status=last_status,
         )
+
+    def _round_trip(self, payload: bytes) -> tuple[int, bytes]:
+        """POST ``payload`` on a pooled connection; return the status and the whole body."""
+        conn = self._checkout()
+        try:
+            conn.request("POST", self._path, payload, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return resp.status, data
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or else a new one."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return self._connect()
+            # An idle socket that polls readable holds either EOF or bytes no
+            # request asked for; either way it cannot carry the next request.
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if not poller.poll(0):
+                return conn
+            conn.close()
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        while self._idle:
+            self._idle.pop().close()
 
 
 class HTTPBackend:
@@ -493,6 +550,10 @@ class HTTPBackend:
     def complete(self, prompt: str, params: DecodeParams) -> Generation:
         return self._transport.post(build_request(prompt, params), parse_response)
 
+    def close(self) -> None:
+        """Close the idle keep-alive connections."""
+        self._transport.close()
+
 
 class RemoteEmbedder:
     """Client for an embedding endpoint: POST {"texts": [...]} -> {"vectors": [...]}."""
@@ -511,6 +572,10 @@ class RemoteEmbedder:
             return rows
 
         return self._transport.post({"texts": list(texts)}, vectors)
+
+    def close(self) -> None:
+        """Close the idle keep-alive connections."""
+        self._transport.close()
 
 
 def complete_many(

@@ -1,4 +1,22 @@
-"""Shared constants for the test suite."""
+"""Shared constants and fixtures for the test suite."""
 from pathlib import Path
 
+import pytest
+
+from support import LoopbackServer
+
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture
+def serve():
+    """Start scripted loopback servers (see ``LoopbackServer``); each closes when the test ends."""
+    servers = []
+
+    def start(outcomes, body=None):
+        servers.append(LoopbackServer(outcomes, body))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()

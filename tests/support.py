@@ -1,4 +1,4 @@
-"""Shared test helpers: noise model, stub embedder, corpus builders, HTTP fakes.
+"""Shared test helpers: noise model, stub embedder, corpus builders, loopback server.
 
 The noisy oracle backend simulates a language model whose per-prompt
 accuracy rises with demonstration-to-test similarity: prompts built from
@@ -9,6 +9,12 @@ text, so runs are reproducible without shared state.
 from __future__ import annotations
 
 import hashlib
+import json
+import socket
+import threading
+import time
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -169,29 +175,144 @@ class NoisyOracleBackend:
         )
 
 
-class FakeResponse:
-    """An HTTP response; a payload that is an exception is raised by json()."""
-
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
+DROP = "drop"  # scripted outcome: close the connection without replying
 
 
-class FakeSession:
-    """Stands in for the HTTP session: replays a scripted outcome list."""
+@dataclass
+class Reply:
+    """A scripted response: a dict or list payload is sent as JSON, bytes as is.
 
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
+    ``hang_up`` closes the connection after the reply without announcing it,
+    as a server whose keep-alive timeout expires does.
+    """
+
+    status: int = 200
+    payload: object = None
+    headers: Mapping[str, str] = field(default_factory=dict)
+    hang_up: bool = False
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless a reply says otherwise
+    disable_nagle_algorithm = True  # headers and body go out in separate writes
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        try:
+            parsed = json.loads(body)
+        except ValueError:
+            parsed = None
+        call = {"path": self.path, "headers": dict(self.headers), "body": body, "json": parsed}
+        outcome = self.server.script.next_outcome(call)
+        if outcome == DROP:
+            self.close_connection = True
+            return
+        reply = outcome if isinstance(outcome, Reply) else Reply(outcome)
+        payload = self.server.script.body if reply.payload is None else reply.payload
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+        self.send_response(reply.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in reply.headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+        if reply.hang_up:
+            self.close_connection = True
+
+    def log_message(self, format, *args):  # noqa: A002 - http.server API
+        pass
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, script):
+        self.script = script
+        super().__init__(("127.0.0.1", 0), _Handler)
+
+    def process_request(self, request, client_address):
+        self.script.opened(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.script.closed(request)
+
+
+class LoopbackServer:
+    """HTTP/1.1 keep-alive server on 127.0.0.1 that replays scripted outcomes.
+
+    ``outcomes`` is a list consumed one per request, or a callable that
+    takes the recorded request and returns the outcome. An outcome is an
+    int status, answered with ``body``; a ``Reply``; or ``DROP``. Each
+    request is recorded in ``calls`` as its path, headers, raw body and
+    decoded JSON. ``connections`` counts the TCP connections accepted,
+    ``open`` those not yet closed, and ``peak_open`` the most open at once.
+    Clients made by ``client`` are closed with the server.
+    """
+
+    def __init__(self, outcomes, body=None):
+        self._outcomes = outcomes if callable(outcomes) else list(outcomes)
+        self.body = {} if body is None else body
         self.calls = []
+        self.connections = 0
+        self.peak_open = 0
+        self._sockets = set()
+        self._clients = []
+        self._lock = threading.Lock()
+        self._server = _Server(self)
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}/v1/endpoint"
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
+        self._thread.start()
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+    @property
+    def open(self) -> int:
+        with self._lock:
+            return len(self._sockets)
+
+    def next_outcome(self, call):
+        with self._lock:
+            self.calls.append(call)
+            if not callable(self._outcomes):
+                return self._outcomes.pop(0) if self._outcomes else Reply(418, b"out of script")
+        return self._outcomes(call)
+
+    def opened(self, sock):
+        with self._lock:
+            self.connections += 1
+            self._sockets.add(sock)
+            self.peak_open = max(self.peak_open, len(self._sockets))
+
+    def closed(self, sock):
+        with self._lock:
+            self._sockets.discard(sock)
+
+    def client(self, make, **kwargs):
+        """``make(self.url, **kwargs)``, closed when the server closes."""
+        client = make(self.url, **kwargs)
+        self._clients.append(client)
+        return client
+
+    def wait_until_closed(self, timeout: float = 5.0) -> None:
+        """Block until the server has closed every connection it accepted."""
+        deadline = time.monotonic() + timeout
+        while self.open:
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"{self.open} connections still open")
+            time.sleep(0.001)
+
+    def close(self) -> None:
+        for client in self._clients:
+            client.close()
+        self._server.shutdown()
+        with self._lock:
+            sockets = list(self._sockets)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._server.server_close()
+        self._thread.join(timeout=5)

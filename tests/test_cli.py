@@ -206,6 +206,20 @@ class TestResolve:
         assert "backend error: embedding request failed" in capsys.readouterr().err
         assert slept == [0.5, 1.0]
 
+    @pytest.mark.parametrize("flag", ["--lm-endpoint", "--embed-endpoint"])
+    def test_malformed_endpoint_is_exit_one(self, capsys, monkeypatch, flag):
+        slept = []
+        for client in ("HTTPBackend", "RemoteEmbedder"):
+            monkeypatch.setattr(f"mice.cli.{client}", functools.partial(
+                getattr(cli, client), sleep=slept.append))
+        args = resolve_args("--seed", "1", flag, "localhost:9/v1/completions")
+        if flag == "--lm-endpoint":
+            args.remove("--lm-mock")
+            args.remove(ECHO)
+        assert run(args) == 1
+        assert "not an http:// or https:// URL" in capsys.readouterr().err
+        assert slept == []
+
     def test_template_override(self, tmp_path, capsys):
         template = tmp_path / "template.json"
         template.write_text(

@@ -1,12 +1,16 @@
-"""Decode parameters, nucleus sampling, mock backend, HTTP clients and their transport."""
+"""Decode parameters, nucleus sampling, mock backend, HTTP clients and their transport.
+
+The HTTP clients run against a scripted server on 127.0.0.1 (``serve``).
+"""
 import functools
 import json
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
-import requests
 
 from mice.corpus import load_corpus
 from mice.gateway import (
@@ -28,7 +32,7 @@ from mice.gateway import (
 from mice.prompts import Template
 
 from conftest import FIXTURES
-from support import FakeResponse, FakeSession
+from support import DROP, Reply
 
 
 class TestDecodeParams:
@@ -57,6 +61,8 @@ class TestDecodeParams:
             {"top_p": 1.5},
             {"temperature": -0.1},
             {"logprob_depth": -1},
+            {"temperature": math.inf},
+            {"temperature": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -271,23 +277,21 @@ class TestWireSchema:
             parse_response({"choices": []})
 
 
-def http_backend(outcomes, **kwargs):
-    sleeps = []
-    backend = HTTPBackend(
-        "http://lm.test/v1/complete", sleep=sleeps.append, **kwargs
-    )
-    session = backend._transport._session = FakeSession(outcomes)
-    return backend, session, sleeps
-
-
 GOOD = {"choices": [{"text": "water"}]}
 
 
-def both_clients(outcomes):
-    """The completion and the embedding client, each replaying ``outcomes``.
+def http_backend(serve, outcomes, **kwargs):
+    sleeps = []
+    server = serve(outcomes, GOOD)
+    backend = server.client(HTTPBackend, sleep=sleeps.append, **kwargs)
+    return backend, server, sleeps
+
+
+def both_clients(serve, outcomes):
+    """The completion and the embedding client, each against a server replaying ``outcomes``.
 
     An int in ``outcomes`` is a response with that status and the client's
-    valid body. Yields ``(send, expected, session, sleeps)``: ``send()``
+    valid body. Yields ``(send, expected, server, sleeps)``: ``send()``
     makes one request and returns ``expected`` when it succeeds.
     """
     for make, send, body, expected in (
@@ -295,64 +299,60 @@ def both_clients(outcomes):
         (RemoteEmbedder, lambda c: c.embed(["p"]).tolist(), {"vectors": [[1.0]]}, [[1.0]]),
     ):
         sleeps = []
-        client = make("http://model.test/v1", sleep=sleeps.append)
-        session = client._transport._session = FakeSession(
-            FakeResponse(o, body) if isinstance(o, int) else o for o in outcomes
-        )
-        yield functools.partial(send, client), expected, session, sleeps
+        server = serve(outcomes, body)
+        client = server.client(make, sleep=sleeps.append)
+        yield functools.partial(send, client), expected, server, sleeps
 
 
 class TestHTTPBackend:
-    def test_success_parses_response(self):
-        backend, session, _ = http_backend([FakeResponse(200, GOOD)])
+    def test_success_parses_response(self, serve):
+        backend, server, _ = http_backend(serve, [200])
         gen = backend.complete("p", DecodeParams.greedy())
         assert gen.text == "water"
-        assert session.calls[0]["json"]["prompt"] == "p"
+        assert server.calls[0]["json"]["prompt"] == "p"
 
-    def test_bearer_token_header(self):
-        backend, session, _ = http_backend(
-            [FakeResponse(200, GOOD)], token="secret"
-        )
+    def test_bearer_token_header(self, serve):
+        backend, server, _ = http_backend(serve, [200], token="secret")
         backend.complete("p", DecodeParams.greedy())
-        assert session.calls[0]["headers"]["Authorization"] == "Bearer secret"
+        assert server.calls[0]["headers"]["Authorization"] == "Bearer secret"
 
-    def test_transient_errors_retry_with_backoff(self):
-        for send, expected, session, sleeps in both_clients(
-            [requests.exceptions.ConnectionError("down"), FakeResponse(500), 200]
-        ):
+    def test_transient_errors_retry_with_backoff(self, serve):
+        for send, expected, server, sleeps in both_clients(serve, [DROP, 500, 200]):
             assert send() == expected
-            assert len(session.calls) == 3
+            assert len(server.calls) == 3
             assert sleeps == [0.5, 1.0]
 
-    def test_exhausted_retries_raise(self):
-        for send, _, _, sleeps in both_clients(
-            [FakeResponse(503), FakeResponse(503), FakeResponse(503)]
-        ):
+    def test_exhausted_retries_raise(self, serve):
+        for send, _, _, sleeps in both_clients(serve, [503, 503, 503]):
             with pytest.raises(BackendError) as info:
                 send()
             assert info.value.attempts == 3
             assert info.value.status == 503
             assert sleeps == [0.5, 1.0]
 
-    def test_client_errors_fail_immediately(self):
-        for send, _, session, sleeps in both_clients([FakeResponse(401)]):
-            with pytest.raises(BackendError) as info:
-                send()
-            assert info.value.attempts == 1
-            assert info.value.status == 401
-            assert len(session.calls) == 1
-            assert sleeps == []
+    def test_client_errors_fail_immediately(self, serve):
+        # A redirect is not followed: it fails like a 4xx.
+        for status in (401, 302):
+            for send, _, server, sleeps in both_clients(
+                serve, [Reply(status, headers={"Location": "/elsewhere"})]
+            ):
+                with pytest.raises(BackendError) as info:
+                    send()
+                assert info.value.attempts == 1
+                assert info.value.status == status
+                assert len(server.calls) == 1
+                assert sleeps == []
 
-    def test_any_2xx_body_is_decoded(self):
-        for send, expected, session, sleeps in both_clients([201]):
+    def test_any_2xx_body_is_decoded(self, serve):
+        for send, expected, server, sleeps in both_clients(serve, [201]):
             assert send() == expected
-            assert len(session.calls) == 1
+            assert len(server.calls) == 1
             assert sleeps == []
 
     @pytest.mark.parametrize(
         "payload",
         [
-            requests.JSONDecodeError("Expecting value", "<html>", 0),
+            b"<html>",
             {"choices": [{"text": "water | DCM", "logprobs": {
                 "tokens": ["water", "|"], "top_logprobs": [{"water": -0.1}]}}]},
             {"choices": [{"text": "water", "logprobs": {
@@ -360,15 +360,80 @@ class TestHTTPBackend:
         ],
         ids=["not-json", "fewer-maps-than-tokens", "positive-logprob"],
     )
-    def test_malformed_body_is_a_backend_error(self, payload):
+    def test_malformed_body_is_a_backend_error(self, serve, payload):
         # None of these bodies decodes for either client.
-        for send, _, session, sleeps in both_clients([FakeResponse(200, payload)]):
+        for send, _, server, sleeps in both_clients(serve, [Reply(200, payload)]):
             with pytest.raises(BackendError, match="unusable body") as info:
                 send()
             assert info.value.status == 200
             assert info.value.attempts == 1
-            assert len(session.calls) == 1
+            assert len(server.calls) == 1
             assert sleeps == []
+
+
+class TestTransport:
+    def test_sequential_requests_reuse_one_connection(self, serve):
+        backend, server, sleeps = http_backend(serve, lambda call: 200)
+        for i in range(5):
+            assert backend.complete(f"p{i}", DecodeParams.greedy()).text == "water"
+        assert [call["json"]["prompt"] for call in server.calls] == [f"p{i}" for i in range(5)]
+        assert server.connections == 1
+        assert sleeps == []
+
+    def test_idle_connection_closed_by_the_server_costs_no_attempt(self, serve):
+        backend, server, sleeps = http_backend(serve, [Reply(hang_up=True), 200])
+        backend.complete("p", DecodeParams.greedy())
+        server.wait_until_closed()
+        assert backend.complete("q", DecodeParams.greedy()).text == "water"
+        assert len(server.calls) == 2
+        assert server.connections == 2
+        assert sleeps == []
+
+    def test_connection_close_reply_is_not_reused(self, serve):
+        backend, server, sleeps = http_backend(
+            serve, lambda call: Reply(headers={"Connection": "close"})
+        )
+        for prompt in ("p", "q", "r"):
+            assert backend.complete(prompt, DecodeParams.greedy()).text == "water"
+        assert len(server.calls) == 3
+        assert server.connections == 3
+        assert sleeps == []
+
+    def test_open_connections_never_exceed_max_in_flight(self, serve):
+        def slow(call):
+            time.sleep(0.02)
+            return 200
+
+        backend, server, _ = http_backend(serve, slow, max_in_flight=4)
+        requests = [(f"p{i}", DecodeParams.greedy()) for i in range(24)]
+        generations = complete_many(backend, requests, parallelism=8)
+        assert [g.text for g in generations] == ["water"] * 24
+        assert len(server.calls) == 24
+        assert server.peak_open == 4
+
+    def test_body_is_the_golden_request_as_json_bytes(self, serve):
+        backend, server, _ = http_backend(serve, [200])
+        prompt = "Question: What does the mixture contain?\nAnswer:"
+        params = DecodeParams.greedy(max_tokens=64, logprob_depth=5)
+        backend.complete(prompt, params)
+        golden = json.loads((FIXTURES / "golden_request.json").read_text())
+        wire_order = {key: golden[key] for key in build_request(prompt, params)}
+        assert server.calls[0]["body"] == json.dumps(wire_order, allow_nan=False).encode("utf-8")
+        assert server.calls[0]["headers"]["Content-Type"] == "application/json"
+        assert server.calls[0]["path"] == "/v1/endpoint"
+
+    def test_runs_without_the_requests_package(self, serve, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        backend, _, _ = http_backend(serve, [200])
+        assert backend.complete("p", DecodeParams.greedy()).text == "water"
+
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:9/v1/completions", "ftp://127.0.0.1/v1", "http:///v1", ""]
+    )
+    def test_malformed_endpoint_is_rejected_at_construction(self, endpoint):
+        for make in (HTTPBackend, RemoteEmbedder):
+            with pytest.raises(ValueError, match="not an http"):
+                make(endpoint)
 
 
 class TestCompleteMany:

@@ -1,9 +1,9 @@
 """Hashing embedder, cosine similarity, and softmax gating."""
 import math
+import time
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +16,7 @@ from mice.gating import (
     similarities,
 )
 from mice.prompts import Prompt
-from support import FakeResponse, FakeSession
+from support import DROP, Reply
 
 
 def make_prompt(pid, demos):
@@ -66,39 +66,51 @@ class TestHashingEmbedder:
         assert cosine(a, b) > cosine(a, c)
 
 
-def remote_embedder(outcomes):
-    embedder = RemoteEmbedder(
-        "http://embed.test/v1/embed", token="secret", sleep=lambda s: None
+TIMEOUT = 0.25
+
+
+def remote_embedder(serve, outcomes):
+    server = serve(outcomes)
+    embedder = server.client(
+        RemoteEmbedder, token="secret", timeout=TIMEOUT, sleep=lambda s: None
     )
-    embedder._transport._session = FakeSession(outcomes)
-    return embedder
+    return embedder, server
+
+
+def stall(call):
+    time.sleep(2 * TIMEOUT)
+    return DROP
 
 
 class TestRemoteEmbedder:
-    def test_returns_one_vector_per_text(self):
-        embedder = remote_embedder([FakeResponse(200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]})])
+    def test_returns_one_vector_per_text(self, serve):
+        embedder, server = remote_embedder(
+            serve, [Reply(200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]})]
+        )
         vectors = embedder.embed(["a", "b"])
         assert vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        call = embedder._transport._session.calls[0]
+        call = server.calls[0]
         assert call["json"] == {"texts": ["a", "b"]}
         assert call["headers"]["Authorization"] == "Bearer secret"
 
     @pytest.mark.parametrize(
         "outcomes, attempts",
         [
-            ([requests.exceptions.ConnectionError("connection refused")] * 3, 3),
-            ([requests.exceptions.Timeout("read timed out")] * 3, 3),
-            ([FakeResponse(503)] * 3, 3),
-            ([FakeResponse(200, requests.JSONDecodeError("Expecting value", "<html>", 0))], 1),
-            ([FakeResponse(200, {"embeddings": []})], 1),
-            ([FakeResponse(200, {"vectors": [[1.0, 0.0]]})], 1),
+            ([DROP] * 3, 3),
+            (stall, 3),
+            ([503] * 3, 3),
+            ([Reply(200, b"<html>")], 1),
+            ([Reply(200, {"embeddings": []})], 1),
+            ([Reply(200, {"vectors": [[1.0, 0.0]]})], 1),
         ],
         ids=["unreachable", "timeout", "http-503", "not-json", "no-vectors", "wrong-count"],
     )
-    def test_endpoint_failures_are_backend_errors(self, outcomes, attempts):
+    def test_endpoint_failures_are_backend_errors(self, serve, outcomes, attempts):
+        embedder, server = remote_embedder(serve, outcomes)
         with pytest.raises(BackendError, match="^embedding request") as info:
-            remote_embedder(outcomes).embed(["a", "b"])
+            embedder.embed(["a", "b"])
         assert info.value.attempts == attempts
+        assert len(server.calls) == attempts
 
 
 class TestCosine:

@@ -2,7 +2,6 @@
 import json
 
 import pytest
-import requests
 from conftest import FIXTURES
 
 from mice.corpus import Dataset, Example, Span, from_json, load_corpus, sample_kshot, to_json
@@ -27,7 +26,7 @@ from mice.pipeline import (
 )
 from mice.postfilter import FilterConfig
 from mice.prompts import Ordering, PromptSetConfig, Selection, Template
-from support import FakeResponse
+from support import DROP, Reply
 
 TRAIN = load_corpus(FIXTURES / "synthetic_train.jsonl")
 TEST3 = load_corpus(FIXTURES / "cli_test.jsonl")
@@ -245,41 +244,36 @@ class TestResolveSplit:
         )
 
 
-    def test_malformed_response_fails_only_its_example(self):
+    def test_malformed_response_fails_only_its_example(self, serve):
         poison_text = TEST3[1].text
 
-        class Session:
-            def post(self, url, json=None, headers=None, timeout=None):
-                logprobs = {"tokens": ["water", "|"], "top_logprobs": [{}]}
-                if poison_text not in json["prompt"]:
-                    logprobs = None
-                return FakeResponse(
-                    200, {"choices": [{"text": "water", "logprobs": logprobs}]}
-                )
+        def respond(call):
+            logprobs = {"tokens": ["water", "|"], "top_logprobs": [{}]}
+            if poison_text not in call["json"]["prompt"]:
+                logprobs = None
+            return Reply(200, {"choices": [{"text": "water", "logprobs": logprobs}]})
 
-        backend = HTTPBackend("http://lm.test/v1/complete", sleep=lambda s: None)
-        backend._transport._session = Session()
+        backend = serve(respond).client(HTTPBackend, sleep=lambda s: None)
         config = RunConfig(combiner=Combiner.KATE, parallelism=1)
         split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
         errors = {r.key: r.error for r in split_result.results}
         assert "1 probability maps for 2 tokens" in errors.pop(TEST3[1].key)
         assert set(errors.values()) == {None}
 
-    def test_embedding_failure_fails_only_its_example(self):
+    def test_embedding_failure_fails_only_its_example(self, serve):
         poison_text = TEST3[2].text
 
-        class Session:
-            def post(self, url, json=None, headers=None, timeout=None):
-                if any(poison_text in t for t in json["texts"]):
-                    raise requests.exceptions.ConnectionError("connection reset")
-                return FakeResponse(200, {"vectors": [[1.0, 0.0]] * len(json["texts"])})
+        def respond(call):
+            texts = call["json"]["texts"]
+            if any(poison_text in t for t in texts):
+                return DROP
+            return Reply(200, {"vectors": [[1.0, 0.0]] * len(texts)})
 
-        embedder = RemoteEmbedder("http://embed.test/v1/embed", sleep=lambda s: None)
-        embedder._transport._session = Session()
+        embedder = serve(respond).client(RemoteEmbedder, sleep=lambda s: None)
         resolver = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder=embedder)
         split_result = resolver.resolve_split(TEST3)
         errors = {r.key: r.error for r in split_result.results}
-        assert "connection reset" in errors.pop(TEST3[2].key)
+        assert "Remote end closed connection" in errors.pop(TEST3[2].key)
         assert set(errors.values()) == {None}
 
 
