@@ -373,7 +373,7 @@ class TestHTTPBackend:
 
 class TestTransport:
     def test_sequential_requests_reuse_one_connection(self, serve):
-        backend, server, sleeps = http_backend(serve, lambda call: 200)
+        backend, server, sleeps = http_backend(serve, [200] * 5)
         for i in range(5):
             assert backend.complete(f"p{i}", DecodeParams.greedy()).text == "water"
         assert [call["json"]["prompt"] for call in server.calls] == [f"p{i}" for i in range(5)]
