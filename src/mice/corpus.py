@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import types
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
@@ -269,21 +269,35 @@ def save_corpus(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(example_to_record(ex), ensure_ascii=False) + "\n")
 
 
+def seeded_prefix(n: int, m: int, entropy: Sequence[int]) -> list[int]:
+    """The first ``m`` slots of a seeded partial Fisher-Yates shuffle of ``range(n)``.
+
+    For i in 0..m-1, slot i swaps with slot
+    ``PCG64(SeedSequence(entropy)).integers(i, n)``. Only the moved slots
+    are stored, so memory is O(m) whatever ``n`` is. This is the one
+    shuffle in the package: k-shot sampling, seeded-random prompt
+    selection and mixed demonstration order all draw from it.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    moved: dict[int, int] = {}
+    prefix = []
+    for i in range(m):
+        j = int(rng.integers(i, n))
+        prefix.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return prefix
+
+
 def sample_kshot(dataset: Dataset, k: int, seed: int) -> KShotSample:
     """Draw k examples uniformly without replacement, reproducibly.
 
-    The draw is a partial Fisher-Yates shuffle driven by numpy's PCG64
-    generator seeded with ``seed``: for i in 0..k-1 swap position i with
-    position ``PCG64(seed).integers(i, n)``, then take the first k slots.
-    The algorithm is documented so other implementations can match it.
+    The draw is ``seeded_prefix(len(dataset), k, [seed])``: for i in
+    0..k-1 swap position i with position ``PCG64(seed).integers(i, n)``,
+    then take the first k slots. The algorithm is documented so other
+    implementations can match it.
     """
     n = len(dataset)
     if k > n:
         raise ValueError(f"k={k} exceeds dataset size {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    indices = list(range(n))
-    for i in range(k):
-        j = int(rng.integers(i, n))
-        indices[i], indices[j] = indices[j], indices[i]
-    chosen = tuple(dataset.examples[i] for i in indices[:k])
+    chosen = tuple(dataset.examples[i] for i in seeded_prefix(n, k, [seed]))
     return KShotSample(k=k, seed=seed, examples=chosen)

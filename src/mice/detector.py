@@ -89,14 +89,14 @@ def detect_examples(
     return [Example(doc_id=doc_id, text=text, anaphor=s) for s in spans]
 
 
-def load_rules(path: str | Path, case_sensitive: bool = False) -> RuleSet:
+def load_rules(path: str | Path) -> RuleSet:
     """Read one pattern per line; blank lines and `#` comments are skipped."""
     patterns = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             patterns.append(line)
-    return RuleSet(patterns=tuple(patterns), case_sensitive=case_sensitive)
+    return RuleSet(patterns=tuple(patterns))
 
 
 def default_rules() -> RuleSet:

@@ -39,6 +39,11 @@ logger = logging.getLogger(__name__)
 # not whitespace is a single-character token. Whitespace never tokenizes.
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 
+# Both HTTP clients make at most this many attempts per request, sleeping
+# _BACKOFF seconds after the first failure and doubling after each next one.
+_MAX_ATTEMPTS = 3
+_BACKOFF = 0.5
+
 
 class Tokenizer(Protocol):
     def tokenize(self, text: str) -> list[str]: ...
@@ -248,10 +253,6 @@ class MockBackend:
         self._lock = threading.Lock()
         self.request_count = 0
 
-    @property
-    def tokenizer(self) -> Tokenizer:
-        return self._tokenizer
-
     def _find(self, prompt: str) -> Optional[ScriptedEntry]:
         for entry in self._entries:
             if entry.matches(prompt):
@@ -425,20 +426,20 @@ class _JSONTransport:
 
     ``endpoint`` must be an ``http`` or ``https`` URL with a host; anything
     else raises ``ValueError`` at construction. Transport errors and 5xx
-    responses are retried up to ``max_attempts`` times with exponential
-    backoff; any other non-2xx response (redirects are not followed), or a
-    2xx body that ``decode`` rejects, fails at once. A bounded semaphore
-    caps in-flight requests, and with them the open connections: a request
-    takes an idle connection or, when none is left, opens one, and hands it
-    back unless the reply said the server will close it. An idle connection
-    the server has closed is discarded before use, so it costs no attempt.
-    Every failure is a ``BackendError`` whose message starts with
-    ``label``, which names the endpoint.
+    responses are retried up to ``_MAX_ATTEMPTS`` times with exponential
+    backoff; a certificate that fails verification, any other non-2xx
+    response (redirects are not followed), or a 2xx body that ``decode``
+    rejects, fails at once. A bounded semaphore caps in-flight requests, and
+    with them the open connections: a request takes an idle connection or,
+    when none is left, opens one, and hands it back unless the reply said
+    the server will close it. An idle connection the server has closed is
+    discarded before use, so it costs no attempt. Every failure is a
+    ``BackendError`` whose message starts with ``label``, which names the
+    endpoint.
     """
 
     def __init__(self, label: str, endpoint: str, token: Optional[str], timeout: float,
-                 sleep: Callable[[float], None], max_in_flight: int = 8,
-                 max_attempts: int = 3, backoff: float = 0.5):
+                 sleep: Callable[[float], None], max_in_flight: int = 8):
         url = urllib.parse.urlsplit(endpoint.rstrip("/"))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"{label} endpoint is not an http:// or https:// URL "
@@ -456,8 +457,6 @@ class _JSONTransport:
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
         self._sleep = sleep
-        self._max_attempts = max_attempts
-        self._backoff = backoff
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._idle: list[http.client.HTTPConnection] = []
 
@@ -466,10 +465,14 @@ class _JSONTransport:
         payload = json.dumps(body, allow_nan=False).encode("utf-8")
         last_error: Optional[str] = None
         last_status: Optional[int] = None
-        for attempt in range(1, self._max_attempts + 1):
+        for attempt in range(1, _MAX_ATTEMPTS + 1):
             try:
                 with self._semaphore:
                     status, data = self._round_trip(payload)
+            except ssl.SSLCertVerificationError as exc:
+                # Retrying cannot make an untrusted certificate trusted.
+                raise BackendError(f"{self._label} failed: {type(exc).__name__}: {exc}",
+                                   attempts=attempt) from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:
@@ -487,11 +490,11 @@ class _JSONTransport:
                     raise BackendError(f"{self._label} rejected: {last_error}",
                                        attempts=attempt, status=status)
             logger.warning("%s attempt %d failed: %s", self._label, attempt, last_error)
-            if attempt < self._max_attempts:
-                self._sleep(self._backoff * (2 ** (attempt - 1)))
+            if attempt < _MAX_ATTEMPTS:
+                self._sleep(_BACKOFF * (2 ** (attempt - 1)))
         raise BackendError(
-            f"{self._label} failed after {self._max_attempts} attempts: {last_error}",
-            attempts=self._max_attempts, status=last_status,
+            f"{self._label} failed after {_MAX_ATTEMPTS} attempts: {last_error}",
+            attempts=_MAX_ATTEMPTS, status=last_status,
         )
 
     def _round_trip(self, payload: bytes) -> tuple[int, bytes]:
@@ -540,12 +543,10 @@ class HTTPBackend:
         token: Optional[str] = None,
         max_in_flight: int = 8,
         timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._transport = _JSONTransport("completion", endpoint, token, timeout, sleep,
-                                         max_in_flight, max_attempts, backoff)
+                                         max_in_flight)
 
     def complete(self, prompt: str, params: DecodeParams) -> Generation:
         return self._transport.post(build_request(prompt, params), parse_response)

@@ -26,12 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Example, KShotSample
+from .corpus import Example, KShotSample, seeded_prefix
 from .gateway import Tokenizer
 
-# Full universes are materialized up to this size; beyond it only seeded
-# random selection is available.
-_ENUMERATION_CAP = 1_000_000
+# Top-gated selection ranks universes up to this size; seeded-random
+# selection works at any size.
+_RANKING_CAP = 1_000_000
 
 
 class PromptBudgetError(ValueError):
@@ -219,18 +219,13 @@ def order_demonstrations(
     universe_index: int,
 ) -> tuple[int, ...]:
     """Arrange one prompt's demos; the mixed order is seeded per prompt."""
-    positions = list(range(len(demo_indices)))
+    d = len(demo_indices)
     if ordering is Ordering.ASCEND:
-        positions.sort(key=lambda p: (similarities[demo_indices[p]], p))
+        positions = sorted(range(d), key=lambda p: (similarities[demo_indices[p]], p))
     elif ordering is Ordering.DESCEND:
-        positions.sort(key=lambda p: (-similarities[demo_indices[p]], p))
+        positions = sorted(range(d), key=lambda p: (-similarities[demo_indices[p]], p))
     else:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, universe_index]))
-        )
-        for i in range(len(positions) - 1):
-            j = int(rng.integers(i, len(positions)))
-            positions[i], positions[j] = positions[j], positions[i]
+        positions = seeded_prefix(d, d, [seed, universe_index])
     return tuple(demo_indices[p] for p in positions)
 
 
@@ -241,55 +236,58 @@ def _select_universe_indices(
     d = config.demos_per_prompt
     total = universe_size(k, d)
     n = min(config.max_prompts, total)
-    if total <= _ENUMERATION_CAP:
-        if n == total:
-            return list(range(total))
-        if config.selection is Selection.TOP_GATED:
-            sims = np.asarray(similarities, dtype=float)
-            table = _universe_table(k, d)
-            # Summed column by column, left to right, so each score is the
-            # same float Python's sum() gives for the tuple.
-            score = np.zeros(total)
-            for column in table.T:
-                score = score + sims[column]
-            # A stable sort breaks ties by universe index.
-            best = np.argsort(-score, kind="stable")[:n]
-            return sorted(best.tolist())
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed])))
-        indices = list(range(total))
-        for i in range(n):
-            j = int(rng.integers(i, total))
-            indices[i], indices[j] = indices[j], indices[i]
-        return sorted(indices[:n])
-    if config.selection is Selection.TOP_GATED:
+    top_gated = config.selection is Selection.TOP_GATED
+    if top_gated and total > _RANKING_CAP:
         raise ValueError(
             f"universe of {total} tuples is too large to rank; "
             "use seeded-random selection"
         )
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed])))
-    chosen: set[int] = set()
-    while len(chosen) < n:
-        chosen.add(int(rng.integers(0, total)))
-    return sorted(chosen)
+    if n == total:
+        return list(range(total))
+    if not top_gated:
+        return sorted(seeded_prefix(total, n, [config.seed]))
+    sims = np.asarray(similarities, dtype=float)
+    table = _universe_table(k, d)
+    # Summed column by column, left to right, so each score is the same
+    # float Python's sum() gives for the tuple.
+    score = np.zeros(total)
+    for column in table.T:
+        score = score + sims[column]
+    # A stable sort breaks ties by universe index.
+    best = np.argsort(-score, kind="stable")[:n]
+    return sorted(best.tolist())
 
 
-def _trim_to_budget(
-    ordered: tuple[int, ...],
+def _build_prompt(
+    prompt_id: int,
+    universe_index: int,
+    demo_tuple: tuple[int, ...],
     sample: KShotSample,
     test: Example,
     config: PromptSetConfig,
     similarities: Sequence[float],
     template: Template,
     tokenizer: Tokenizer,
-) -> tuple[tuple[int, ...], str, int, tuple[int, ...]]:
-    """Drop least-similar demos until the rendered prompt fits the budget."""
-    current = list(ordered)
+) -> Prompt:
+    """Order one demo tuple, then drop least-similar demos until it fits the budget."""
+    current = list(
+        order_demonstrations(
+            demo_tuple, similarities, config.ordering, config.seed, universe_index
+        )
+    )
     dropped: list[int] = []
     while True:
         text = template.render_prompt([sample.examples[i] for i in current], test)
         count = tokenizer.count(text)
         if count <= config.input_budget:
-            return tuple(current), text, count, tuple(dropped)
+            return Prompt(
+                prompt_id=prompt_id,
+                universe_index=universe_index,
+                demo_indices=tuple(current),
+                text=text,
+                token_count=count,
+                dropped_demo_indices=tuple(dropped),
+            )
         if not current:
             raise PromptBudgetError(
                 f"test input for {test.key} needs {count} tokens; "
@@ -317,27 +315,13 @@ def enumerate_prompts(
     k = sample.k
     if len(similarities) != k:
         raise ValueError(f"{len(similarities)} similarities for k={k}")
-    selected = _select_universe_indices(k, config, similarities)
-    prompts: list[Prompt] = []
-    for prompt_id, u in enumerate(selected):
-        demo_tuple = tuple_from_universe_index(u, k, config.demos_per_prompt)
-        ordered = order_demonstrations(
-            demo_tuple, similarities, config.ordering, config.seed, u
+    return [
+        _build_prompt(
+            prompt_id, u, tuple_from_universe_index(u, k, config.demos_per_prompt),
+            sample, test, config, similarities, template, tokenizer,
         )
-        kept, text, count, dropped = _trim_to_budget(
-            ordered, sample, test, config, similarities, template, tokenizer
-        )
-        prompts.append(
-            Prompt(
-                prompt_id=prompt_id,
-                universe_index=u,
-                demo_indices=kept,
-                text=text,
-                token_count=count,
-                dropped_demo_indices=dropped,
-            )
-        )
-    return prompts
+        for prompt_id, u in enumerate(_select_universe_indices(k, config, similarities))
+    ]
 
 
 def select_kate_prompt(
@@ -359,18 +343,7 @@ def select_kate_prompt(
         raise ValueError(f"{len(similarities)} similarities for k={k}")
     ranked = sorted(range(k), key=lambda i: (-similarities[i], i))
     demo_tuple = tuple(sorted(ranked[: config.demos_per_prompt]))
-    u = universe_index_from_tuple(demo_tuple, k)
-    ordered = order_demonstrations(
-        demo_tuple, similarities, config.ordering, config.seed, u
-    )
-    kept, text, count, dropped = _trim_to_budget(
-        ordered, sample, test, config, similarities, template, tokenizer
-    )
-    return Prompt(
-        prompt_id=0,
-        universe_index=u,
-        demo_indices=kept,
-        text=text,
-        token_count=count,
-        dropped_demo_indices=dropped,
+    return _build_prompt(
+        0, universe_index_from_tuple(demo_tuple, k), demo_tuple,
+        sample, test, config, similarities, template, tokenizer,
     )

@@ -13,8 +13,8 @@ def serve():
     """Start scripted loopback servers (see ``LoopbackServer``); each closes when the test ends."""
     servers = []
 
-    def start(outcomes, body=None):
-        servers.append(LoopbackServer(outcomes, body))
+    def start(outcomes, body=None, tls=False):
+        servers.append(LoopbackServer(outcomes, body, tls))
         return servers[-1]
 
     yield start

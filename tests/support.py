@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -25,6 +27,9 @@ from mice.gating import HashingEmbedder, cosine
 from mice.prompts import Template
 
 NOISE_SEED = 20260818
+# A self-signed certificate for 127.0.0.1 and its key, for TLS loopback servers.
+TLS_CERT = Path(__file__).parent / "fixtures" / "loopback_cert.pem"
+TLS_KEY = Path(__file__).parent / "fixtures" / "loopback_key.pem"
 
 
 def hash_uniform(seed: int, text: str) -> float:
@@ -249,10 +254,11 @@ class LoopbackServer:
     request is recorded in ``calls`` as its path, headers, raw body and
     decoded JSON. ``connections`` counts the TCP connections accepted,
     ``open`` those not yet closed, and ``peak_open`` the most open at once.
-    Clients made by ``client`` are closed with the server.
+    Clients made by ``client`` are closed with the server. With ``tls`` the
+    server speaks HTTPS with the self-signed ``TLS_CERT``.
     """
 
-    def __init__(self, outcomes, body=None):
+    def __init__(self, outcomes, body=None, tls=False):
         self._outcomes = outcomes if callable(outcomes) else list(outcomes)
         self.body = {} if body is None else body
         self.calls = []
@@ -262,7 +268,12 @@ class LoopbackServer:
         self._clients = []
         self._lock = threading.Lock()
         self._server = _Server(self)
-        self.url = f"http://127.0.0.1:{self._server.server_address[1]}/v1/endpoint"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self._server.server_address[1]}/v1/endpoint"
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
         self._thread.start()

@@ -268,6 +268,38 @@ class TestResolve:
         assert run(resolve_args("--seed", "1")) == 0
         assert 0.0 < json.loads(capsys.readouterr().out)["f1"] < 1.0
 
+    def test_top_gated_beyond_the_ranking_cap_is_exit_one(self, capsys):
+        # k=32 with 5 demos per prompt makes 24,165,120 ordered tuples.
+        args = ["resolve", "--corpus", CLI_TEST, "--train", TRAIN, "--k", "32",
+                "--demos-per-prompt", "5", "--lm-mock", ECHO, "--seed", "1"]
+        assert run(args) == 1
+        assert "too large to rank" in capsys.readouterr().err
+
+    def test_unlabeled_split_prints_predictions(self, tmp_path, capsys):
+        corpus = tmp_path / "unlabeled.jsonl"
+        records = [json.loads(line) for line in Path(CLI_TEST).read_text().splitlines()]
+        corpus.write_text(
+            "".join(json.dumps({k: v for k, v in r.items() if k != "antecedents"}) + "\n"
+                    for r in records),
+            encoding="utf-8",
+        )
+        manifest = tmp_path / "manifest.jsonl"
+        args = resolve_args("--seed", "1", "--manifest", str(manifest))
+        args[args.index(CLI_TEST)] = str(corpus)
+        assert run(args) == 0
+        resolved = capsys.readouterr().out
+        payload = json.loads(resolved)
+        assert payload["note"] == "unlabeled split; no scores"
+        assert {key: sorted(p) for key, p in payload["predictions"].items()} == {
+            ex.key: sorted(ex.gold_surfaces()) for ex in load_corpus(CLI_TEST)
+        }
+        lines = [json.loads(line) for line in manifest.read_text().splitlines()]
+        entries = [line for line in lines if line["record"] == "entry"]
+        assert len(entries) == len(records)
+        assert all(entry["gold"] is None for entry in entries)
+        assert run(["replay", "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == resolved
+
     def test_unknown_template_field_rejected(self, tmp_path, capsys):
         template = tmp_path / "template.json"
         template.write_text(json.dumps({"prefix": "x"}), encoding="utf-8")

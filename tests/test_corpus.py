@@ -13,6 +13,7 @@ from mice.corpus import (
     load_corpus,
     sample_kshot,
     save_corpus,
+    seeded_prefix,
 )
 
 from conftest import FIXTURES
@@ -176,6 +177,15 @@ class TestSampleKshot:
         assert sample.examples == expected
         assert sample.k == 4
         assert sample.seed == 99
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (10, 3), (10, 10), (1000, 7)])
+    def test_seeded_prefix_is_the_documented_shuffle(self, n, m):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([5, 2])))
+        slots = list(range(n))
+        for i in range(m):
+            j = int(rng.integers(i, n))
+            slots[i], slots[j] = slots[j], slots[i]
+        assert seeded_prefix(n, m, [5, 2]) == slots[:m]
 
     def test_same_seed_same_sample(self):
         ds = self.make(12)

@@ -32,7 +32,7 @@ from mice.gateway import (
 from mice.prompts import Template
 
 from conftest import FIXTURES
-from support import DROP, Reply
+from support import DROP, TLS_CERT, Reply
 
 
 class TestDecodeParams:
@@ -287,19 +287,20 @@ def http_backend(serve, outcomes, **kwargs):
     return backend, server, sleeps
 
 
-def both_clients(serve, outcomes):
+def both_clients(serve, outcomes, tls=False):
     """The completion and the embedding client, each against a server replaying ``outcomes``.
 
     An int in ``outcomes`` is a response with that status and the client's
     valid body. Yields ``(send, expected, server, sleeps)``: ``send()``
-    makes one request and returns ``expected`` when it succeeds.
+    makes one request and returns ``expected`` when it succeeds. With
+    ``tls`` the servers speak HTTPS (see ``LoopbackServer``).
     """
     for make, send, body, expected in (
         (HTTPBackend, lambda c: c.complete("p", DecodeParams.greedy()).text, GOOD, "water"),
         (RemoteEmbedder, lambda c: c.embed(["p"]).tolist(), {"vectors": [[1.0]]}, [[1.0]]),
     ):
         sleeps = []
-        server = serve(outcomes, body)
+        server = serve(outcomes, body, tls)
         client = server.client(make, sleep=sleeps.append)
         yield functools.partial(send, client), expected, server, sleeps
 
@@ -434,6 +435,26 @@ class TestTransport:
         for make in (HTTPBackend, RemoteEmbedder):
             with pytest.raises(ValueError, match="not an http"):
                 make(endpoint)
+
+
+class TestTLS:
+    def test_untrusted_certificate_fails_at_once(self, serve, monkeypatch):
+        for var in ("SSL_CERT_FILE", "SSL_CERT_DIR"):
+            monkeypatch.delenv(var, raising=False)
+        for send, _, server, sleeps in both_clients(serve, [200], tls=True):
+            with pytest.raises(BackendError, match="SSLCertVerificationError") as info:
+                send()
+            assert info.value.attempts == 1
+            assert sleeps == []
+            assert server.calls == []
+
+    def test_ssl_cert_file_trusts_another_ca(self, serve, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        server = serve([200], GOOD, tls=True)
+        backend = server.client(HTTPBackend)
+        assert server.url.startswith("https://")
+        assert backend.complete("p", DecodeParams.greedy()).text == "water"
+        assert server.calls[0]["json"]["prompt"] == "p"
 
 
 class TestCompleteMany:

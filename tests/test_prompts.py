@@ -1,4 +1,6 @@
 """Prompt templating, demonstration-tuple universes, and budget packing."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +182,22 @@ class TestOrdering:
         b = order_demonstrations((0, 1, 2), self.SIMS, Ordering.MIXED, 7, 12)
         assert a == b
 
+    # (demos, seed, universe index) -> the mixed order of (0, 1, ..., demos - 1).
+    MIXED_ORDERS = {
+        (2, 0, 0): (1, 0),
+        (3, 7, 12): (2, 1, 0),
+        (4, 1, 100): (1, 3, 0, 2),
+        (5, 7, 0): (4, 3, 0, 2, 1),
+        (5, 7, 1): (4, 0, 1, 3, 2),
+        (6, 123, 45678): (4, 0, 1, 3, 2, 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MIXED_ORDERS))
+    def test_mixed_orders_are_pinned(self, case):
+        d, seed, u = case
+        order = order_demonstrations(tuple(range(d)), [0.1] * d, Ordering.MIXED, seed, u)
+        assert order == self.MIXED_ORDERS[case]
+
     def test_mixed_varies_across_universe_indices(self):
         orders = {
             order_demonstrations(tuple(range(5)), [0.1] * 5, Ordering.MIXED, 7, u)
@@ -240,6 +258,51 @@ class TestSelection:
         )
         assert [p.universe_index for p in first] == [p.universe_index for p in second]
         assert len(first) == 5
+
+    # (k, demos, max prompts, seed) -> the seeded-random selection.
+    SEEDED_PICKS = {
+        (4, 2, 5, 9): [0, 5, 6, 14, 15],
+        (8, 1, 3, 2): [1, 2, 6],
+        (16, 2, 8, 3): [22, 47, 49, 62, 151, 206, 207, 223],
+        (16, 3, 10, 1): [120, 488, 843, 1053, 1589, 1720, 2537, 2766, 3187, 3193],
+        (32, 4, 8, 0): [14270, 35366, 64940, 232838, 265671, 441132, 549723, 734122],
+    }
+
+    @staticmethod
+    def seeded(d, max_prompts, seed):
+        return PromptSetConfig(demos_per_prompt=d, max_prompts=max_prompts,
+                               selection=Selection.SEEDED_RANDOM, seed=seed)
+
+    @pytest.mark.parametrize("case", sorted(SEEDED_PICKS))
+    def test_seeded_random_picks_are_pinned(self, case):
+        k, d, n, seed = case
+        picks = _select_universe_indices(k, self.seeded(d, n, seed), [0.1] * k)
+        assert picks == self.SEEDED_PICKS[case]
+
+    def test_seeded_random_beyond_the_ranking_cap(self):
+        # k=32, d=5 has 24,165,120 tuples, 24x what top-gated may rank.
+        total = universe_size(32, 5)
+        assert total == 24_165_120
+        picks = _select_universe_indices(32, self.seeded(5, 256, 4), [0.1] * 32)
+        assert len(picks) == 256
+        assert picks == sorted(set(picks))
+        assert 0 <= picks[0] and picks[-1] < total
+        assert _select_universe_indices(32, self.seeded(5, 256, 4), [0.1] * 32) == picks
+
+    def test_top_gated_beyond_the_ranking_cap_is_rejected(self):
+        config = PromptSetConfig(demos_per_prompt=5, max_prompts=256)
+        with pytest.raises(ValueError, match="too large to rank"):
+            _select_universe_indices(32, config, [0.1] * 32)
+
+    def test_seeded_random_memory_does_not_grow_with_the_universe(self):
+        # k=32, d=4 has 863,040 tuples; a list of all their indices takes ~35 MB.
+        tracemalloc.start()
+        try:
+            _select_universe_indices(32, self.seeded(4, 256, 0), [0.1] * 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_seeded_random_differs_by_seed(self):
         sample = tiny_sample()
