@@ -1,11 +1,12 @@
 """Turning generations into candidate antecedents and mixing them.
 
 Each prompt's generation is parsed into a per-prompt prediction; the
-combiners then weigh candidate surfaces across prompts:
+combiners then pool candidate surfaces across prompts. Every rule is one
+piece of per-prompt evidence plus one fold over the prompts:
 
-  * mixture:       sum over prompts of first-token probability x gate weight
-  * mixture-sample: same, with a 0/1 "did this prompt emit it" indicator
-  * product:       product over prompts of floored first-token probability
+  * mixture:       first-token probability, folded as a gate-weighted sum
+  * mixture-sample: a 0/1 "did this prompt emit it" indicator, same fold
+  * product:       first-token probability, folded as a floored product
 
 First-token probability of a candidate under one prompt is the highest
 probability that candidate's first token received at any answer slot of
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .gateway import (
     Backend,
@@ -23,6 +24,7 @@ from .gateway import (
     DecodeParams,
     Generation,
     Tokenizer,
+    answer_slot_starts,
     complete_many,
 )
 from .gating import GatingDistribution
@@ -66,35 +68,22 @@ def extract_prediction(
 ) -> PromptPrediction:
     """Parse one generation into surfaces plus per-slot distributions.
 
-    Slots are aligned by walking the generation's tokens: the first token
-    after the start or after a separator opens a slot and contributes its
-    top-probability map. A walk that does not yield one map per raw answer
-    segment marks the prediction degraded and pads with empty maps.
+    Each token that opens an answer slot (see ``answer_slot_starts``)
+    contributes its top-probability map. A walk that does not yield one
+    map per raw answer segment marks the prediction degraded and pads
+    with empty maps.
     """
     first_line = generation.text.split("\n", 1)[0]
     raw = _raw_segments(first_line, template.separator)
     canonical = [canonicalize(s) for s in raw]
     seen: set[str] = set()
     distinct = tuple(s for s in canonical if not (s in seen or seen.add(s)))
-
-    slots: list[Mapping[str, float]] = []
-    expecting = True
-    for i, token in enumerate(generation.tokens):
-        if "\n" in token:
-            break
-        if token.strip() == template.separator:
-            expecting = True
-            continue
-        if expecting:
-            dist = generation.top_probs[i] if i < len(generation.top_probs) else {}
-            slots.append(dict(dist))
-            expecting = False
-
+    slots: list[Mapping[str, float]] = [
+        dict(generation.top_probs[i]) if i < len(generation.top_probs) else {}
+        for i in answer_slot_starts(generation.tokens, template.separator)
+    ]
     degraded = len(slots) != len(raw)
-    if len(slots) < len(raw):
-        slots.extend({} for _ in range(len(raw) - len(slots)))
-    elif len(slots) > len(raw):
-        slots = slots[: len(raw)]
+    slots = slots[: len(raw)] + [{} for _ in range(len(raw) - len(slots))]
     return PromptPrediction(
         prompt_id=prompt_id,
         generated_antecedents=distinct,
@@ -126,20 +115,67 @@ class CandidateAntecedent:
         return max(self.per_prompt_prob.values(), default=0.0)
 
 
-def _candidate_universe(predictions: Sequence[PromptPrediction]) -> list[str]:
-    """Distinct candidate surfaces in first appearance order across prompts."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for pred in predictions:
-        for surface in pred.generated_antecedents:
-            if surface not in seen:
-                seen.add(surface)
-                out.append(surface)
-    return out
-
-
-def _rank(candidates: list[CandidateAntecedent]) -> list[CandidateAntecedent]:
+def rank_candidates(candidates: Iterable[CandidateAntecedent]) -> list[CandidateAntecedent]:
+    """Highest combined probability first, ties by surface."""
     return sorted(candidates, key=lambda c: (-c.combined_prob, c.surface))
+
+
+# The product rule floors each prompt's probability here, so one prompt that
+# never saw a candidate dampens it instead of zeroing it outright.
+_PRODUCT_FLOOR = 1e-4
+
+
+def _pool(
+    predictions: Sequence[PromptPrediction],
+    tokenizer: Tokenizer,
+    evidence: Callable[[str, str, PromptPrediction], float],
+    fold: Callable[[dict[int, float]], Optional[float]],
+) -> list[CandidateAntecedent]:
+    """Score every surface any prompt emitted, then rank.
+
+    ``evidence(surface, first_token, prediction)`` is one prompt's support
+    for a surface; ``fold`` turns the per-prompt map into the combined
+    probability, or ``None`` to drop the candidate.
+    """
+    if not predictions:
+        raise ValueError("cannot combine an empty prediction list")
+    candidates: list[CandidateAntecedent] = []
+    seen: set[str] = set()
+    for surface in (s for pred in predictions for s in pred.generated_antecedents):
+        if surface in seen:
+            continue
+        seen.add(surface)
+        token = tokenizer.tokenize(surface)[0]
+        per_prompt = {pred.prompt_id: evidence(surface, token, pred) for pred in predictions}
+        combined = fold(per_prompt)
+        if combined is not None:
+            candidates.append(CandidateAntecedent(surface, token, combined, per_prompt))
+    return rank_candidates(candidates)
+
+
+def _first_token_evidence(surface: str, token: str, prediction: PromptPrediction) -> float:
+    return first_token_prob(token, prediction)
+
+
+def _emitted(surface: str, token: str, prediction: PromptPrediction) -> float:
+    return 1.0 if surface in prediction.generated_antecedents else 0.0
+
+
+def _gated_sum(gating: GatingDistribution) -> Callable[[dict[int, float]], Optional[float]]:
+    """Gate-weighted sum; candidates without mass are dropped."""
+
+    def fold(per_prompt: dict[int, float]) -> Optional[float]:
+        combined = sum(gating[pid] * p for pid, p in per_prompt.items())
+        return combined if combined > 0.0 else None
+
+    return fold
+
+
+def _floored_product(per_prompt: dict[int, float]) -> float:
+    combined = 1.0
+    for p in per_prompt.values():
+        combined *= max(p, _PRODUCT_FLOOR)
+    return combined
 
 
 def combine_mice(
@@ -151,30 +187,9 @@ def combine_mice(
 
     Each candidate's combined probability is the gate-weighted sum of its
     first-token probability under every prompt. Candidates no prompt
-    assigns any mass are dropped; the rest are ranked by combined
-    probability, ties by surface.
+    assigns any mass are dropped.
     """
-    if not predictions:
-        raise ValueError("cannot combine an empty prediction list")
-    candidates: list[CandidateAntecedent] = []
-    for surface in _candidate_universe(predictions):
-        token = tokenizer.tokenize(surface)[0]
-        per_prompt = {
-            pred.prompt_id: first_token_prob(token, pred) for pred in predictions
-        }
-        combined = sum(
-            gating[pid] * p for pid, p in per_prompt.items()
-        )
-        if combined > 0.0:
-            candidates.append(
-                CandidateAntecedent(
-                    surface=surface,
-                    first_token=token,
-                    combined_prob=combined,
-                    per_prompt_prob=per_prompt,
-                )
-            )
-    return _rank(candidates)
+    return _pool(predictions, tokenizer, _first_token_evidence, _gated_sum(gating))
 
 
 def combine_mice_sample(
@@ -187,61 +202,18 @@ def combine_mice_sample(
     A prompt contributes its full gate weight to every surface it emitted
     and nothing to the rest, so no token-level probabilities are needed.
     """
-    if not predictions:
-        raise ValueError("cannot combine an empty prediction list")
-    candidates: list[CandidateAntecedent] = []
-    for surface in _candidate_universe(predictions):
-        token = tokenizer.tokenize(surface)[0]
-        per_prompt = {
-            pred.prompt_id: (1.0 if surface in pred.generated_antecedents else 0.0)
-            for pred in predictions
-        }
-        combined = sum(gating[pid] * ind for pid, ind in per_prompt.items())
-        if combined > 0.0:
-            candidates.append(
-                CandidateAntecedent(
-                    surface=surface,
-                    first_token=token,
-                    combined_prob=combined,
-                    per_prompt_prob=per_prompt,
-                )
-            )
-    return _rank(candidates)
+    return _pool(predictions, tokenizer, _emitted, _gated_sum(gating))
 
 
 def combine_product(
-    predictions: Sequence[PromptPrediction],
-    tokenizer: Tokenizer,
-    epsilon: float = 1e-4,
+    predictions: Sequence[PromptPrediction], tokenizer: Tokenizer
 ) -> list[CandidateAntecedent]:
     """Unweighted product of per-prompt first-token probabilities.
 
-    Probabilities are floored at ``epsilon`` so one prompt that never saw
-    a candidate dampens it instead of zeroing it outright. Stored
-    per-prompt values are the raw, unfloored probabilities.
+    Probabilities are floored at ``_PRODUCT_FLOOR``; stored per-prompt
+    values are the raw, unfloored probabilities. No candidate is dropped.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if not predictions:
-        raise ValueError("cannot combine an empty prediction list")
-    candidates: list[CandidateAntecedent] = []
-    for surface in _candidate_universe(predictions):
-        token = tokenizer.tokenize(surface)[0]
-        per_prompt = {
-            pred.prompt_id: first_token_prob(token, pred) for pred in predictions
-        }
-        combined = 1.0
-        for p in per_prompt.values():
-            combined *= max(p, epsilon)
-        candidates.append(
-            CandidateAntecedent(
-                surface=surface,
-                first_token=token,
-                combined_prob=combined,
-                per_prompt_prob=per_prompt,
-            )
-        )
-    return _rank(candidates)
+    return _pool(predictions, tokenizer, _first_token_evidence, _floored_product)
 
 
 def combine_single(

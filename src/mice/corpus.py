@@ -199,6 +199,8 @@ class KShotSample:
     examples: tuple[Example, ...]
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise CorpusError(f"k-shot sample needs at least one example, got k={self.k}")
         if len(self.examples) != self.k:
             raise CorpusError(f"k-shot sample of size {len(self.examples)} does not match k={self.k}")
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .corpus import Dataset, Example, Span
 from .metrics import ScoreReport
@@ -19,17 +19,15 @@ from .metrics import ScoreReport
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Compiled detection rules. Patterns are matched on word boundaries."""
+    """Compiled detection rules, matched case-insensitively on word boundaries."""
 
     patterns: tuple[str, ...]
-    case_sensitive: bool = False
     _compiled: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.patterns:
             raise ValueError("rule set must contain at least one pattern")
-        flags = 0 if self.case_sensitive else re.IGNORECASE
-        compiled = tuple(re.compile(rf"\b(?:{p})\b", flags) for p in self.patterns)
+        compiled = tuple(re.compile(rf"\b(?:{p})\b", re.IGNORECASE) for p in self.patterns)
         object.__setattr__(self, "_compiled", compiled)
 
     def finditer(self, text: str) -> Iterable[tuple[int, int, int]]:
@@ -79,14 +77,9 @@ def evaluate_rules(dataset: Dataset, rules: RuleSet) -> ScoreReport:
     return ScoreReport.from_counts(tp, fp, fn)
 
 
-def detect_examples(
-    doc_id: str, text: str, rules: RuleSet, limit: Optional[int] = None
-) -> list[Example]:
+def detect_examples(doc_id: str, text: str, rules: RuleSet) -> list[Example]:
     """Wrap detected anaphors as unlabeled examples, in document order."""
-    spans = detect_anaphors(text, rules)
-    if limit is not None:
-        spans = spans[:limit]
-    return [Example(doc_id=doc_id, text=text, anaphor=s) for s in spans]
+    return [Example(doc_id=doc_id, text=text, anaphor=s) for s in detect_anaphors(text, rules)]
 
 
 def load_rules(path: str | Path) -> RuleSet:

@@ -138,6 +138,25 @@ class Generation:
                     raise ValueError(f"probability of {tok!r} out of range: {p}")
 
 
+def answer_slot_starts(tokens: Sequence[str], separator: str) -> list[int]:
+    """Positions of the tokens that open an answer slot on the first line.
+
+    The first token, and the first token after each separator token, opens
+    a slot; the walk stops at the first token that contains a newline.
+    """
+    starts: list[int] = []
+    expecting = True
+    for i, token in enumerate(tokens):
+        if "\n" in token:
+            break
+        if token.strip() == separator:
+            expecting = True
+        elif expecting:
+            starts.append(i)
+            expecting = False
+    return starts
+
+
 class Backend(Protocol):
     def complete(self, prompt: str, params: DecodeParams) -> Generation: ...
 
@@ -242,12 +261,11 @@ class MockBackend:
     def __init__(
         self,
         entries: Sequence[ScriptedEntry],
-        tokenizer: Optional[Tokenizer] = None,
         separator: str = "|",
         default_answer: str = "",
     ):
         self._entries = list(entries)
-        self._tokenizer = tokenizer or WordTokenizer()
+        self._tokenizer = WordTokenizer()
         self._separator = separator
         self._default = default_answer
         self._lock = threading.Lock()
@@ -265,27 +283,14 @@ class MockBackend:
         text = _truncate_generation(answer, params, self._tokenizer)
         spans = self._tokenizer.span_tokenize(text)
         tokens = tuple(text[a:b] for a, b in spans)
-        # Each answer slot starts right after the prompt or a separator
-        # token; those positions carry the scripted distribution, all other
-        # positions are certain.
-        dists: list[Mapping[str, float]] = []
-        slot_index = 0
-        expecting_slot = True
+        # The first token of each answer slot carries the scripted
+        # distribution; every other token is certain.
+        dists: list[Mapping[str, float]] = [{tok: 1.0} for tok in tokens]
         scripted = entry.slot_distributions if entry is not None else ()
         depth = params.logprob_depth
-        for tok in tokens:
-            if tok == self._separator:
-                expecting_slot = True
-                dists.append({tok: 1.0})
-                continue
-            if expecting_slot and slot_index < len(scripted):
-                full = scripted[slot_index]
-                ranked = sorted(full.items(), key=lambda kv: (-kv[1], kv[0]))
-                dists.append(dict(ranked[:depth] if depth else []))
-                slot_index += 1
-            else:
-                dists.append({tok: 1.0})
-            expecting_slot = False
+        for i, full in zip(answer_slot_starts(tokens, self._separator), scripted):
+            ranked = sorted(full.items(), key=lambda kv: (-kv[1], kv[0]))
+            dists[i] = dict(ranked[:depth] if depth else [])
         return Generation(text=text, tokens=tokens, top_probs=tuple(dists))
 
     def _sampled_answer(
@@ -362,11 +367,9 @@ class MockBackend:
         return cls(entries, separator=template.separator, default_answer=default)
 
     @classmethod
-    def oracle_echo(
-        cls, dataset, template, tokenizer: Optional[Tokenizer] = None, **kwargs
-    ) -> "MockBackend":
+    def oracle_echo(cls, dataset, template) -> "MockBackend":
         """A mock that answers each known example's prompt with its gold antecedents."""
-        tok = tokenizer or WordTokenizer()
+        tok = WordTokenizer()
         entries = []
         for ex in dataset:
             if not ex.is_labeled:
@@ -381,7 +384,7 @@ class MockBackend:
                     slot_distributions=tuple({t: 1.0} for t in first_tokens),
                 )
             )
-        return cls(entries, tokenizer=tok, separator=template.separator, **kwargs)
+        return cls(entries, separator=template.separator)
 
 
 def build_request(prompt: str, params: DecodeParams) -> dict:

@@ -42,6 +42,7 @@ from .prompts import (
     Template,
     enumerate_prompts,
     select_kate_prompt,
+    universe_size,
 )
 
 logger = logging.getLogger(__name__)
@@ -142,6 +143,13 @@ class Resolver:
         if self.tokenizer.tokenize(template.separator) != [template.separator]:
             raise ValueError(f"separator {template.separator!r} is not a single token")
         template.validate_against(sample)
+        # kate and kate-plus pick their demos directly; the rest enumerate tuples.
+        d = self._effective_prompt_config().demos_per_prompt
+        enumerates = config.combiner not in (Combiner.KATE, Combiner.KATE_PLUS)
+        if enumerates and universe_size(sample.k, d) == 0:
+            raise ValueError(
+                f"no prompt of {d} distinct demonstrations can be drawn from k={sample.k}"
+            )
         # Demos embed in their rendered answer-free form so they look like
         # the test input they are compared against.
         self._demo_vectors = self.embedder.embed(

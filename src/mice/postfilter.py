@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combine import CandidateAntecedent
+from .combine import CandidateAntecedent, rank_candidates
 from .gateway import Tokenizer
 
 
@@ -107,4 +107,4 @@ def filter_and_merge(
         ]
     if config.combined_threshold > 0.0:
         kept = [c for c in kept if c.combined_prob >= config.combined_threshold]
-    return sorted(kept, key=lambda c: (-c.combined_prob, c.surface))
+    return rank_candidates(kept)

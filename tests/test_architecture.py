@@ -24,25 +24,31 @@ def test_only_the_gateway_does_network_io():
     assert {name: mods for name, mods in network.items() if mods} == {}
 
 
-RNG_CONSTRUCTORS = {"PCG64", "SeedSequence", "default_rng"}
+def _mentioned_name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1]
+    return None
 
 
-def rng_constructor_uses(path):
-    """(enclosing function, name) for each mention of a numpy generator constructor."""
+def name_uses(path, names, calls_only=False):
+    """(enclosing function, name) for each mention of one of ``names``.
+
+    With ``calls_only``, only mentions that are called count.
+    """
     uses = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.alias):
-            name = node.name.split(".")[-1]
+        if calls_only:
+            name = _mentioned_name(node.func) if isinstance(node, ast.Call) else None
         else:
-            name = None
-        if name in RNG_CONSTRUCTORS:
+            name = _mentioned_name(node)
+        if name in names:
             uses.add((scope, name))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -51,11 +57,26 @@ def rng_constructor_uses(path):
     return uses
 
 
+def uses_by_module(names, calls_only=False):
+    found = {
+        path.name: name_uses(path, names, calls_only) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    return {name: uses for name, uses in found.items() if uses}
+
+
 def test_one_seeded_shuffle():
     # k-shot sampling, seeded-random selection and mixed ordering all draw
     # from corpus.seeded_prefix; the mock backend seeds its nucleus draws.
-    uses = {path.name: rng_constructor_uses(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: found for name, found in uses.items() if found} == {
+    assert uses_by_module({"PCG64", "SeedSequence", "default_rng"}) == {
         "corpus.py": {("seeded_prefix", "PCG64"), ("seeded_prefix", "SeedSequence")},
         "gateway.py": {("_sampled_answer", "PCG64")},
+    }
+
+
+def test_one_pooling_step_builds_candidates():
+    # Every combine rule scores its candidates in combine._pool; only the
+    # postfilter's substring merge builds new ones from them.
+    assert uses_by_module({"CandidateAntecedent"}, calls_only=True) == {
+        "combine.py": {("_pool", "CandidateAntecedent")},
+        "postfilter.py": {("_merge_substrings", "CandidateAntecedent")},
     }

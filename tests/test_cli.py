@@ -121,6 +121,12 @@ class TestSample:
         assert run(["sample", "--train", TRAIN, "--k", "500", "--seed", "1"]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_zero_k_is_exit_one(self, capsys):
+        assert run(["sample", "--train", TRAIN, "--k", "0", "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "k=0" in err
+
 
 class TestResolve:
     def test_single_seed_full_outputs(self, tmp_path, capsys):
@@ -274,6 +280,28 @@ class TestResolve:
                 "--demos-per-prompt", "5", "--lm-mock", ECHO, "--seed", "1"]
         assert run(args) == 1
         assert "too large to rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("combiner", ["mice", "mice-s", "product", "kate", "kate-plus"])
+    def test_zero_k_is_exit_one(self, combiner, capsys):
+        args = resolve_args("--seed", "1", "--combiner", combiner, "--decode", "nucleus")
+        args[args.index("--k") + 1] = "0"
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: k-shot sample needs at least one example, got k=0" in err
+
+    @pytest.mark.parametrize(
+        "combiner, code", [("mice", 1), ("mice-s", 1), ("product", 0), ("kate", 0)]
+    )
+    def test_more_distinct_demos_than_k(self, combiner, code, capsys):
+        # Three or more demos per prompt must be distinct, so k=2 yields no
+        # tuple; product uses one demo per prompt and kate picks its own.
+        args = resolve_args("--seed", "1", "--combiner", combiner, "--demos-per-prompt", "3")
+        args[args.index("--k") + 1] = "2"
+        assert run(args) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "no prompt of 3 distinct demonstrations can be drawn from k=2" in err
 
     def test_unlabeled_split_prints_predictions(self, tmp_path, capsys):
         corpus = tmp_path / "unlabeled.jsonl"

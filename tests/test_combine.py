@@ -240,7 +240,7 @@ class TestCombineProduct:
             pred(0, ["water"], [{"water": 0.8}]),
             pred(1, ["brine"], [{"brine": 0.4}]),
         ]
-        out = combine_product(preds, TOK, epsilon=1e-4)
+        out = combine_product(preds, TOK)
         by_surface = {c.surface: c for c in out}
         assert by_surface["water"].combined_prob == pytest.approx(
             0.8 * 1e-4, abs=1e-18
@@ -256,11 +256,19 @@ class TestCombineProduct:
             pred(0, ["water"], [{}], degraded=True),
             pred(1, ["brine"], [{"brine": 0.4}]),
         ]
-        out = combine_product(preds, TOK, epsilon=0.01)
+        out = combine_product(preds, TOK)
         surfaces = {c.surface for c in out}
         assert surfaces == {"water", "brine"}
         water = next(c for c in out if c.surface == "water")
-        assert water.combined_prob == pytest.approx(0.01 * 0.01, abs=1e-15)
+        assert water.combined_prob == pytest.approx(1e-4 * 1e-4, abs=1e-20)
+
+    def test_keeps_candidates_whose_product_underflows(self):
+        # 90 prompts, each alone in seeing its surface: 0.5 * 1e-4 ** 89
+        # underflows to 0.0, and the candidate still survives combination.
+        preds = [pred(i, [f"s{i}"], [{f"s{i}": 0.5}]) for i in range(90)]
+        out = combine_product(preds, TOK)
+        assert len(out) == 90
+        assert {c.combined_prob for c in out} == {0.0}
 
     def test_all_seen_product(self):
         preds = [
@@ -269,11 +277,6 @@ class TestCombineProduct:
         ]
         out = combine_product(preds, TOK)
         assert out[0].combined_prob == pytest.approx(0.4, abs=1e-12)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-6])
-    def test_nonpositive_epsilon_rejected(self, eps):
-        with pytest.raises(ValueError, match="epsilon"):
-            combine_product([pred(0, ["water"], [])], TOK, epsilon=eps)
 
     def test_empty_prediction_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -23,6 +23,7 @@ from mice.gateway import (
     RemoteEmbedder,
     ScriptedEntry,
     WordTokenizer,
+    answer_slot_starts,
     build_request,
     complete_many,
     nucleus_filter,
@@ -78,6 +79,19 @@ class TestGeneration:
     def test_probability_range_checked(self):
         with pytest.raises(ValueError):
             Generation(text="a", tokens=("a",), top_probs=({"a": 1.5},))
+
+    @pytest.mark.parametrize(
+        "tokens, starts",
+        [
+            (("water", "|", "DCM"), [0, 2]),
+            (("ice", "water", " | ", "brine"), [0, 3]),
+            (("|", "|", "a", "b", "|"), [2]),
+            (("a", "\n", "|", "b"), [0]),
+            ((), []),
+        ],
+    )
+    def test_answer_slot_starts(self, tokens, starts):
+        assert answer_slot_starts(tokens, "|") == starts
 
 
 class TestNucleusFilter:

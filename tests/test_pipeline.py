@@ -26,7 +26,7 @@ from mice.pipeline import (
 )
 from mice.postfilter import FilterConfig
 from mice.prompts import Ordering, PromptSetConfig, Selection, Template
-from support import DROP, Reply
+from support import DROP, NoisyOracleBackend, Reply, make_example
 
 TRAIN = load_corpus(FIXTURES / "synthetic_train.jsonl")
 TEST3 = load_corpus(FIXTURES / "cli_test.jsonl")
@@ -391,3 +391,58 @@ class TestManifest:
         )
         with pytest.raises(ValueError, match="schema"):
             replay_manifest(path)
+
+
+SYNTH_TRAIN = load_corpus(FIXTURES / "synthetic_train.jsonl")
+SYNTH_TEST = load_corpus(FIXTURES / "synthetic_test.jsonl")
+COMBINER_PINS = FIXTURES / "combiner_pins.json"
+
+
+def combiner_trace(combiner):
+    """Each example's candidates and finals under one combiner, as plain data.
+
+    Four ``synthetic_test`` examples against the noisy oracle (k=8, seed 3,
+    8 prompts), or, for kate-plus, 16 nucleus samples of the scripted mock
+    on a passage its entry matches. ``tests/fixtures/combiner_pins.json``
+    holds this function's output recorded before the combine rules shared
+    one pooling step.
+    """
+    sample = sample_kshot(SYNTH_TRAIN, 8, seed=3)
+    if combiner is Combiner.KATE_PLUS:
+        test = Dataset(
+            (make_example("vessel", ["water", "DCM"], lead="Charge vessel 900 with"),)
+        )
+        backend = MockBackend.from_fixture(FIXTURES / "scripted_mock.json")
+        config = RunConfig(
+            combiner=combiner, decode=DecodeParams.nucleus(seed=3), kate_plus_samples=16
+        )
+    else:
+        test = Dataset(SYNTH_TEST.examples[:4])
+        decoys = json.loads((FIXTURES / "synthetic_decoys.json").read_text(encoding="utf-8"))
+        backend = NoisyOracleBackend(SYNTH_TRAIN, SYNTH_TEST, decoys)
+        config = RunConfig(combiner=combiner, prompt=PromptSetConfig(max_prompts=8))
+    result = Resolver(config, sample, backend).resolve_split(test)
+
+    def rows(candidates):
+        return [
+            [c.surface, c.first_token, sorted(c.per_prompt_prob), c.combined_prob]
+            for c in candidates
+        ]
+
+    return [
+        {"key": r.key, "candidates": rows(r.candidates), "final": rows(r.final)}
+        for r in result.results
+    ]
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_combiners_match_their_recorded_candidates(combiner):
+    expected = json.loads(COMBINER_PINS.read_text(encoding="utf-8"))[combiner.value]
+    actual = combiner_trace(combiner)
+    assert [e["key"] for e in actual] == [e["key"] for e in expected]
+    for got, want in zip(actual, expected):
+        for stage in ("candidates", "final"):
+            assert [row[:3] for row in got[stage]] == [row[:3] for row in want[stage]]
+            assert [row[3] for row in got[stage]] == pytest.approx(
+                [row[3] for row in want[stage]], rel=0.0, abs=1e-12
+            )
