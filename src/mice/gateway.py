@@ -4,13 +4,14 @@ Two backends share one interface: a scripted in-process mock for tests and
 offline runs, and an HTTP client speaking a completion wire protocol. Both
 return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
-the model again. The HTTP completion client and the remote embedding
-client send their requests through one transport with one retry policy;
-no other module touches the network. The transport is the standard
-library's ``http.client``: each client keeps at most ``max_in_flight``
-keep-alive connections to its endpoint, verifies TLS with the default
-``ssl`` context, follows no redirects, and reads no proxy variables or
-``~/.netrc``.
+the model again. Backend calls fan out only through ``RequestPool`` and
+``complete_many``, which send each distinct request once. The HTTP
+completion client and the remote embedding client send their requests
+through one transport with one retry policy; no other module touches the
+network. The transport is the standard library's ``http.client``: each
+client keeps at most ``max_in_flight`` keep-alive connections to its
+endpoint, verifies TLS with the default ``ssl`` context, follows no
+redirects, and reads no proxy variables or ``~/.netrc``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import ssl
 import threading
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -582,6 +583,82 @@ class RemoteEmbedder:
         self._transport.close()
 
 
+def _dedup(
+    requests: Sequence[tuple[str, DecodeParams]],
+) -> tuple[list[tuple], list[tuple]]:
+    """Each request's key, and the distinct keys in first-seen order.
+
+    A key is ``(prompt, params, position)``, where the position is ``None``
+    unless the request is a nucleus draw without a seed: such a draw is
+    independent and never merged.
+    """
+    keys = []
+    for i, (prompt, params) in enumerate(requests):
+        independent = params.mode is DecodeMode.NUCLEUS and params.seed is None
+        keys.append((prompt, params, i if independent else None))
+    return keys, list(dict.fromkeys(keys))
+
+
+def _by_position(
+    keys: list[tuple], unique: list[tuple], sent: Sequence[Generation]
+) -> list[Generation]:
+    """Hand each distinct request's generation to every position that asked for it."""
+    by_key = dict(zip(unique, sent))
+    return [by_key[key] for key in keys]
+
+
+class RequestPool:
+    """``parallelism`` worker threads that send batches of requests to one backend.
+
+    ``submit`` queues a batch and returns at once; batches are sent in the
+    order they were submitted, so at most ``parallelism`` backend calls are
+    in flight however many batches are queued. Leaving the ``with`` block
+    waits for the workers to stop; if an exception is leaving it, requests
+    that have not started are cancelled first.
+    """
+
+    def __init__(self, backend: Backend, parallelism: int):
+        self._backend = backend
+        self._executor = ThreadPoolExecutor(max_workers=parallelism)
+
+    def __enter__(self) -> "RequestPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+
+    def submit(
+        self, requests: Sequence[tuple[str, DecodeParams]]
+    ) -> Callable[[], list[Generation]]:
+        """Queue each distinct request once; return the step that waits for them.
+
+        The wait step returns the generations by position, as
+        ``complete_many`` does, and raises the first failure in the order
+        the distinct requests were queued. Once a request of the batch has
+        failed, its requests that have not started are not sent.
+        """
+        keys, unique = _dedup(requests)
+        failed = threading.Event()
+
+        def send(prompt: str, params: DecodeParams) -> Generation:
+            # A batch stops at its first failure, as a serial loop would;
+            # requests already sent still finish.
+            if failed.is_set():
+                raise CancelledError
+            try:
+                return self._backend.complete(prompt, params)
+            except BaseException:
+                failed.set()
+                raise
+
+        futures = [self._executor.submit(send, prompt, params) for prompt, params, _ in unique]
+
+        def wait() -> list[Generation]:
+            return _by_position(keys, unique, [future.result() for future in futures])
+
+        return wait
+
+
 def complete_many(
     backend: Backend,
     requests: Sequence[tuple[str, DecodeParams]],
@@ -589,23 +666,17 @@ def complete_many(
 ) -> list[Generation]:
     """Send ``(prompt, params)`` requests to the backend, preserving order.
 
-    This is the only place a backend is called. Each distinct request is
-    sent once and its generation is returned at every position that asked
-    for it; a nucleus request without a seed is an independent draw and is
-    never merged. Results come back indexed by position regardless of
-    completion order, so downstream aggregation never depends on thread
-    scheduling.
+    Each distinct request is sent once and its generation is returned at
+    every position that asked for it; a nucleus request without a seed is
+    an independent draw and is never merged. Results come back indexed by
+    position regardless of completion order, so downstream aggregation
+    never depends on thread scheduling. A single distinct request, or a
+    ``parallelism`` of 1, is sent on the calling thread; otherwise the
+    batch goes through a ``RequestPool`` of its own.
     """
-    keys = []
-    for i, (prompt, params) in enumerate(requests):
-        independent = params.mode is DecodeMode.NUCLEUS and params.seed is None
-        keys.append((prompt, params, i if independent else None))
-    unique = list(dict.fromkeys(keys))
+    keys, unique = _dedup(requests)
     if parallelism <= 1 or len(unique) <= 1:
         sent = [backend.complete(prompt, params) for prompt, params, _ in unique]
-    else:
-        with ThreadPoolExecutor(max_workers=min(parallelism, len(unique))) as pool:
-            futures = [pool.submit(backend.complete, p, params) for p, params, _ in unique]
-            sent = [f.result() for f in futures]
-    by_key = dict(zip(unique, sent))
-    return [by_key[key] for key in keys]
+        return _by_position(keys, unique, sent)
+    with RequestPool(backend, parallelism) as pool:
+        return pool.submit(requests)()

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .combine import (
     CandidateAntecedent,
@@ -29,6 +29,7 @@ from .gateway import (
     DecodeMode,
     DecodeParams,
     Generation,
+    RequestPool,
     Tokenizer,
     WordTokenizer,
     complete_many,
@@ -143,10 +144,10 @@ class Resolver:
         if self.tokenizer.tokenize(template.separator) != [template.separator]:
             raise ValueError(f"separator {template.separator!r} is not a single token")
         template.validate_against(sample)
-        # kate and kate-plus pick their demos directly; the rest enumerate tuples.
+        # kate and kate-plus pick d distinct demos; the rest enumerate tuples.
         d = self._effective_prompt_config().demos_per_prompt
-        enumerates = config.combiner not in (Combiner.KATE, Combiner.KATE_PLUS)
-        if enumerates and universe_size(sample.k, d) == 0:
+        picks = config.combiner in (Combiner.KATE, Combiner.KATE_PLUS)
+        if (d > sample.k) if picks else (universe_size(sample.k, d) == 0):
             raise ValueError(
                 f"no prompt of {d} distinct demonstrations can be drawn from k={sample.k}"
             )
@@ -173,6 +174,55 @@ class Resolver:
 
     def resolve_one(self, test: Example) -> ResolutionResult:
         """Build the prompts and gate for one test input, query, and finish."""
+        return self._start(test, self._send)()
+
+    def resolve_split(self, split: Dataset) -> SplitResult:
+        """Resolve every example; failures degrade to empty predictions.
+
+        The split shares one request pool, and example i+1 is started, its
+        requests queued, before example i is finished; so the backend works
+        while this thread builds prompts and combines answers. Results,
+        warnings and failures still come in split order.
+        """
+        results: list[ResolutionResult] = []
+        backend_failures = 0
+        with RequestPool(self.backend, self.config.parallelism) as pool:
+
+            def start(example: Example) -> Callable[[], ResolutionResult] | Exception:
+                try:
+                    return self._start(example, pool.submit)
+                except (PromptBudgetError, BackendError) as exc:
+                    return exc
+
+            started = map(start, split)
+            upcoming = next(started, None)
+            for example in split:
+                finish, upcoming = upcoming, next(started, None)
+                try:
+                    if isinstance(finish, Exception):
+                        raise finish
+                    results.append(finish())
+                except (PromptBudgetError, BackendError) as exc:
+                    logger.warning("resolution failed for %s: %s", example.key, exc)
+                    results.append(_failed(example.key, _gold(example), str(exc)))
+                    backend_failures += isinstance(exc, BackendError)
+        return replace(_assemble_split_result(results), backend_failures=backend_failures)
+
+    def _send(
+        self, requests: Sequence[tuple[str, DecodeParams]]
+    ) -> Callable[[], list[Generation]]:
+        """Send ``requests`` now; return the step that hands back their generations."""
+        generations = complete_many(self.backend, requests, self.config.parallelism)
+        return lambda: generations
+
+    def _start(self, test: Example, submit: Callable) -> Callable[[], ResolutionResult]:
+        """Embed, build the prompts and gate for one test input, and ``submit`` its requests.
+
+        ``submit`` takes ``(prompt, params)`` pairs and returns the step
+        that waits for their generations, as ``RequestPool.submit`` does.
+        Returns the finish step, which waits and then runs ``_finish``.
+        kate-plus draws its samples here, before it returns.
+        """
         config = self.config
         combiner = config.combiner
         sims = self._similarities(test)
@@ -195,6 +245,7 @@ class Resolver:
                 prompts[0], self.backend, config.decode, n,
                 config.template, self.tokenizer, config.parallelism,
             )
+            wait: Callable[[], Sequence[Generation]] = lambda: generations
             prompt_ids = tuple(range(n))
             gating: Optional[GatingDistribution] = GatingDistribution.uniform(prompt_ids)
         else:
@@ -204,26 +255,11 @@ class Resolver:
                 gating = None
             else:
                 gating = gate(prompts, sims, config.gate_combine)
-            generations = complete_many(
-                self.backend, [(p.text, config.decode) for p in prompts], config.parallelism
-            )
+            wait = submit([(p.text, config.decode) for p in prompts])
             prompt_ids = tuple(p.prompt_id for p in prompts)
-        return _finish(
-            test.key, _gold(test), prompt_ids, gating, generations, config, self.tokenizer
+        return lambda: _finish(
+            test.key, _gold(test), prompt_ids, gating, wait(), config, self.tokenizer
         )
-
-    def resolve_split(self, split: Dataset) -> SplitResult:
-        """Resolve every example; failures degrade to empty predictions."""
-        results: list[ResolutionResult] = []
-        backend_failures = 0
-        for example in split:
-            try:
-                results.append(self.resolve_one(example))
-            except (PromptBudgetError, BackendError) as exc:
-                logger.warning("resolution failed for %s: %s", example.key, exc)
-                results.append(_failed(example.key, _gold(example), str(exc)))
-                backend_failures += isinstance(exc, BackendError)
-        return replace(_assemble_split_result(results), backend_failures=backend_failures)
 
     def predict(self, example: Example) -> list[tuple[str, float]]:
         """Teacher interface for distillation: surfaces with confidences."""

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from mice.corpus import Dataset, Example, Span
-from mice.gateway import DecodeParams, Generation, Tokenizer, WordTokenizer
+from mice.gateway import BackendError, DecodeParams, Generation, Tokenizer, WordTokenizer
 from mice.gating import HashingEmbedder, cosine
 from mice.prompts import Template
 
@@ -327,3 +327,56 @@ class LoopbackServer:
                 pass
         self._server.server_close()
         self._thread.join(timeout=5)
+
+
+class ConcurrencyProbe:
+    """Wraps a backend and records the most ``complete`` calls running at once.
+
+    Each call sleeps ``delay`` seconds first, so that calls that can overlap do.
+    """
+
+    def __init__(self, inner, delay: float = 0.002):
+        self._inner = inner
+        self._delay = delay
+        self._lock = threading.Lock()
+        self._running = 0
+        self.peak = 0
+
+    def complete(self, prompt: str, params: DecodeParams) -> Generation:
+        with self._lock:
+            self._running += 1
+            self.peak = max(self.peak, self._running)
+        try:
+            time.sleep(self._delay)
+            return self._inner.complete(prompt, params)
+        finally:
+            with self._lock:
+                self._running -= 1
+
+
+class HoldingBackend:
+    """Holds the requests whose prompt contains ``hold`` until one containing ``until`` arrives.
+
+    A held request then goes to ``inner``, or, with ``fail``, raises
+    ``BackendError``. If no such request arrives within ``timeout`` seconds,
+    the held request raises ``BackendError`` saying so.
+    """
+
+    def __init__(self, inner, hold: str, until: str, fail: bool = False,
+                 timeout: float = 2.0):
+        self._inner = inner
+        self._hold = hold
+        self._until = until
+        self._fail = fail
+        self._timeout = timeout
+        self._seen = threading.Event()
+
+    def complete(self, prompt: str, params: DecodeParams) -> Generation:
+        if self._until in prompt:
+            self._seen.set()
+        elif self._hold in prompt:
+            if not self._seen.wait(self._timeout):
+                raise BackendError(f"no request for the next example within {self._timeout} s")
+            if self._fail:
+                raise BackendError("held request failed")
+        return self._inner.complete(prompt, params)

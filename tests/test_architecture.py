@@ -80,3 +80,11 @@ def test_one_pooling_step_builds_candidates():
         "combine.py": {("_pool", "CandidateAntecedent")},
         "postfilter.py": {("_merge_substrings", "CandidateAntecedent")},
     }
+
+
+def test_one_thread_pool():
+    # Backend calls fan out only through gateway.RequestPool, whose one
+    # executor caps the calls in flight at the run's parallelism.
+    assert uses_by_module({"ThreadPoolExecutor"}, calls_only=True) == {
+        "gateway.py": {("__init__", "ThreadPoolExecutor")},
+    }

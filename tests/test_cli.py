@@ -291,12 +291,17 @@ class TestResolve:
         assert "error: k-shot sample needs at least one example, got k=0" in err
 
     @pytest.mark.parametrize(
-        "combiner, code", [("mice", 1), ("mice-s", 1), ("product", 0), ("kate", 0)]
+        "combiner, code",
+        [("mice", 1), ("mice-s", 1), ("product", 0), ("kate", 1), ("kate-plus", 1)],
     )
     def test_more_distinct_demos_than_k(self, combiner, code, capsys):
         # Three or more demos per prompt must be distinct, so k=2 yields no
-        # tuple; product uses one demo per prompt and kate picks its own.
-        args = resolve_args("--seed", "1", "--combiner", combiner, "--demos-per-prompt", "3")
+        # tuple, and kate cannot pick 3 distinct demos from 2; product uses
+        # one demo per prompt.
+        decode = ["--decode", "nucleus"] if combiner == "kate-plus" else []
+        args = resolve_args(
+            "--seed", "1", "--combiner", combiner, "--demos-per-prompt", "3", *decode
+        )
         args[args.index("--k") + 1] = "2"
         assert run(args) == code
         err = capsys.readouterr().err

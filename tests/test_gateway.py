@@ -21,6 +21,7 @@ from mice.gateway import (
     HTTPBackend,
     MockBackend,
     RemoteEmbedder,
+    RequestPool,
     ScriptedEntry,
     WordTokenizer,
     answer_slot_starts,
@@ -547,3 +548,37 @@ class TestCompleteMany:
         serial = complete_many(backend, batch, parallelism=1)
         parallel = complete_many(backend, batch, parallelism=4)
         assert [g.text for g in serial] == [g.text for g in parallel]
+
+
+class TestRequestPool:
+    def test_batches_come_back_by_position(self):
+        backend = MockBackend(
+            [ScriptedEntry(answer=f"answer {i}", contains=(f"prompt {i} ",)) for i in range(3)]
+        )
+        greedy = DecodeParams.greedy()
+        with RequestPool(backend, 2) as pool:
+            first = pool.submit([(f"prompt {i} end", greedy) for i in [0, 1, 0]])
+            second = pool.submit([(f"prompt {i} end", greedy) for i in [2, 2]])
+            assert [g.text for g in second()] == ["answer 2"] * 2
+            assert [g.text for g in first()] == ["answer 0", "answer 1", "answer 0"]
+        assert backend.request_count == 3
+
+    def test_a_batch_stops_at_its_first_failure(self):
+        calls = []
+
+        class Failing:
+            def complete(self, prompt, params):
+                calls.append(prompt)
+                if prompt.startswith("bad"):
+                    raise BackendError(f"{prompt} failed")
+                return Generation(text=prompt)
+
+        greedy = DecodeParams.greedy()
+        with RequestPool(Failing(), 1) as pool:
+            failing = pool.submit([(p, greedy) for p in ["bad 1", "bad 2", "unsent"]])
+            after = pool.submit([("next", greedy)])
+            with pytest.raises(BackendError, match="bad 1 failed"):
+                failing()
+            assert [g.text for g in after()] == ["next"]
+        assert calls == ["bad 1", "next"]
+

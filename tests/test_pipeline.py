@@ -1,5 +1,8 @@
 """End-to-end resolution, manifests, and replay."""
 import json
+import sys
+import threading
+import time
 
 import pytest
 from conftest import FIXTURES
@@ -15,18 +18,27 @@ from mice.gateway import (
     RemoteEmbedder,
     WordTokenizer,
 )
+from mice.gating import HashingEmbedder
 from mice.pipeline import (
     MANIFEST_SCHEMA,
     Combiner,
     ResolutionResult,
     Resolver,
     RunConfig,
+    _assemble_split_result,
     replay_manifest,
     write_manifest,
 )
 from mice.postfilter import FilterConfig
 from mice.prompts import Ordering, PromptSetConfig, Selection, Template
-from support import DROP, NoisyOracleBackend, Reply, make_example
+from support import (
+    DROP,
+    ConcurrencyProbe,
+    HoldingBackend,
+    NoisyOracleBackend,
+    Reply,
+    make_example,
+)
 
 TRAIN = load_corpus(FIXTURES / "synthetic_train.jsonl")
 TEST3 = load_corpus(FIXTURES / "cli_test.jsonl")
@@ -275,6 +287,151 @@ class TestResolveSplit:
         errors = {r.key: r.error for r in split_result.results}
         assert "Remote end closed connection" in errors.pop(TEST3[2].key)
         assert set(errors.values()) == {None}
+
+
+def streaming_setup(combiner, parallelism=8):
+    """A resolver over the noisy oracle and six synthetic examples for ``combiner``."""
+    decoys = json.loads((FIXTURES / "synthetic_decoys.json").read_text(encoding="utf-8"))
+    backend = NoisyOracleBackend(SYNTH_TRAIN, SYNTH_TEST, decoys)
+    extra = {}
+    if combiner is Combiner.KATE_PLUS:
+        extra = {"decode": DecodeParams.nucleus(seed=3), "kate_plus_samples": 8}
+    config = RunConfig(
+        combiner=combiner, prompt=PromptSetConfig(max_prompts=8), parallelism=parallelism,
+        **extra,
+    )
+    split = Dataset(SYNTH_TEST.examples[:6], "synthetic")
+    return Resolver(config, sample_kshot(SYNTH_TRAIN, 8, seed=3), backend), split
+
+
+class FailingEmbedder:
+    """A hashing embedder that fails on any text containing ``poison``."""
+
+    def __init__(self, poison):
+        self._inner = HashingEmbedder(RunConfig().embed_dim)
+        self._poison = poison
+
+    def embed(self, texts):
+        if any(self._poison in t for t in texts):
+            raise BackendError("embedding endpoint down")
+        return self._inner.embed(texts)
+
+
+class TestStreamedSplit:
+    """resolve_split starts example i+1 before it finishes example i."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    @pytest.mark.parametrize("combiner", list(Combiner))
+    def test_backend_calls_in_flight_stay_within_parallelism(self, combiner, parallelism):
+        resolver, split = streaming_setup(combiner, parallelism)
+        probe = ConcurrencyProbe(resolver.backend)
+        resolver.backend = probe
+        result = resolver.resolve_split(split)
+        assert [r.error for r in result.results] == [None] * len(split)
+        assert 1 <= probe.peak <= parallelism
+
+    @pytest.mark.parametrize(
+        "combiner, max_prompts, parallelism",
+        [(Combiner.KATE, 1, 2), (Combiner.MICE_S, 2, 3)],
+    )
+    def test_next_example_is_queued_while_one_waits(self, combiner, max_prompts, parallelism):
+        # Example 0's requests are answered only once example 1's arrive,
+        # which happens only if example 1 is started before 0 is finished.
+        config = RunConfig(
+            combiner=combiner, prompt=PromptSetConfig(max_prompts=max_prompts),
+            parallelism=parallelism,
+        )
+        backend = HoldingBackend(echo_backend(), hold=TEST3[0].text, until=TEST3[1].text)
+        split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
+        assert [r.error for r in split_result.results] == [None] * len(TEST3)
+        assert split_result.report.f1 == 1.0
+
+    @pytest.mark.parametrize("combiner", list(Combiner))
+    def test_streaming_changes_no_result(self, combiner, tmp_path):
+        resolver, split = streaming_setup(combiner)
+        streamed = resolver.resolve_split(split)
+        one_by_one = [resolver.resolve_one(example) for example in split]
+        assert streamed.results == tuple(one_by_one)
+        write_manifest(streamed, resolver.config, resolver.sample, tmp_path / "streamed")
+        write_manifest(
+            _assemble_split_result(one_by_one), resolver.config, resolver.sample,
+            tmp_path / "one_by_one",
+        )
+        assert (tmp_path / "streamed").read_bytes() == (tmp_path / "one_by_one").read_bytes()
+
+    def test_many_workers_under_fast_thread_switching(self):
+        resolver, _ = streaming_setup(Combiner.MICE_S, parallelism=8)
+        split = Dataset(SYNTH_TEST.examples[:16], "synthetic")
+        expected = [resolver.resolve_one(example) for example in split]
+        probe = ConcurrencyProbe(resolver.backend, delay=0.0)
+        resolver.backend = probe
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            streamed = resolver.resolve_split(split)
+        finally:
+            sys.setswitchinterval(interval)
+        assert streamed.results == tuple(expected)
+        assert probe.peak <= 8
+
+    def test_budget_failure_in_start_step(self):
+        long = make_example("long", ["water", "brine"], lead="Charge " + "slowly " * 2000)
+        split = Dataset((TEST3[0], long, TEST3[1], TEST3[2]), "cli")
+        split_result = Resolver(RunConfig(), SAMPLE, echo_backend()).resolve_split(split)
+        failed = split_result.results[1]
+        assert "budget is 1792" in failed.error and failed.final == ()
+        clean = Resolver(RunConfig(), SAMPLE, echo_backend()).resolve_split(TEST3)
+        assert split_result.results[:1] + split_result.results[2:] == clean.results
+        assert split_result.backend_failures == 0
+
+    def test_embedding_failure_in_start_step(self):
+        embedder = FailingEmbedder(TEST3[1].text)
+        resolver = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder=embedder)
+        split_result = resolver.resolve_split(TEST3)
+        clean = Resolver(RunConfig(), SAMPLE, echo_backend()).resolve_split(TEST3)
+        assert [r.error for r in split_result.results] == [None, "embedding endpoint down", None]
+        assert split_result.results[1].final == ()
+        assert split_result.results[::2] == clean.results[::2]
+        assert split_result.backend_failures == 1
+
+    def test_request_failure_while_next_example_is_queued(self):
+        # Example 1's request fails only once example 2's has been sent.
+        backend = HoldingBackend(echo_backend(), hold=TEST3[1].text, until=TEST3[2].text,
+                                 fail=True)
+        config = RunConfig(combiner=Combiner.KATE, parallelism=2)
+        split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
+        clean = Resolver(config, SAMPLE, echo_backend()).resolve_split(TEST3)
+        assert [r.error for r in split_result.results] == [None, "held request failed", None]
+        assert split_result.results[1].final == ()
+        assert split_result.results[::2] == clean.results[::2]
+        assert split_result.backend_failures == 1
+
+    def test_escaping_exception_cancels_queued_requests(self):
+        real = echo_backend()
+        sent = {0: 0, 1: 0, 2: 0}
+        lock = threading.Lock()
+
+        class BrokenBackend:
+            def complete(self, prompt, params):
+                index = next(i for i, ex in enumerate(TEST3) if ex.text in prompt)
+                with lock:
+                    sent[index] += 1
+                if index == 0:
+                    raise RuntimeError("bug in the backend")
+                time.sleep(0.2)
+                return real.complete(prompt, params)
+
+        config = RunConfig(parallelism=1)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="bug in the backend"):
+            Resolver(config, SAMPLE, BrokenBackend()).resolve_split(TEST3)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert threading.active_count() == len(before)
+        # Example 0 stops at its first failure, example 1's queued requests
+        # are cancelled, and example 2 is never started.
+        assert sent[0] == 1
+        assert sent[1] <= 1
+        assert sent[2] == 0
 
 
 class TestTeacherInterface:
