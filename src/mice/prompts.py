@@ -18,8 +18,6 @@ budget.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -179,21 +177,6 @@ def tuple_from_universe_index(u: int, k: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=4)
-def _universe_table(k: int, d: int) -> np.ndarray:
-    """Row u is ``tuple_from_universe_index(u, k, d)``; read-only, shape (total, d)."""
-    if d <= 2:
-        tuples = itertools.product(range(k), repeat=d)
-    else:
-        tuples = itertools.permutations(range(k), d)
-    total = universe_size(k, d)
-    table = np.fromiter(
-        itertools.chain.from_iterable(tuples), dtype=np.intp, count=total * d
-    ).reshape(total, d)
-    table.flags.writeable = False
-    return table
-
-
 def universe_index_from_tuple(demo_indices: Sequence[int], k: int) -> int:
     """Inverse of tuple_from_universe_index."""
     d = len(demo_indices)
@@ -229,6 +212,25 @@ def order_demonstrations(
     return tuple(demo_indices[p] for p in positions)
 
 
+def _top_gated_scores(k: int, d: int, similarities: Sequence[float]) -> np.ndarray:
+    """Each tuple's similarities summed left to right, as sum() does, in universe order.
+
+    Past two demos, extensions that repeat a demo of their prefix are
+    dropped level by level, so no step holds k**d scores.
+    """
+    sims = np.asarray(similarities, dtype=float)
+    score = 0.0 + sims
+    eye = np.eye(k, dtype=bool)
+    free = ~eye  # free[r, j]: prefix r lacks demo j
+    for level in range(1, d):
+        score = np.add.outer(score, sims)
+        score = score.ravel() if d <= 2 else score[free]
+        if level + 1 < d:
+            # Prefix r grows by each of its k - level free demos, in order.
+            free = np.repeat(free, k - level, axis=0) & ~eye[np.nonzero(free)[1]]
+    return score
+
+
 def _select_universe_indices(
     k: int, config: PromptSetConfig, similarities: Sequence[float]
 ) -> list[int]:
@@ -246,22 +248,19 @@ def _select_universe_indices(
         return list(range(total))
     if not top_gated:
         return sorted(seeded_prefix(total, n, [config.seed]))
-    sims = np.asarray(similarities, dtype=float)
-    table = _universe_table(k, d)
-    # Summed column by column, left to right, so each score is the same
-    # float Python's sum() gives for the tuple.
-    score = np.zeros(total)
-    for column in table.T:
-        score = score + sims[column]
-    # A stable sort breaks ties by universe index.
-    best = np.argsort(-score, kind="stable")[:n]
+    key = np.negative(_top_gated_scores(k, d, similarities))
+    nth = np.partition(key, n - 1)[n - 1]
+    # Stable-sort only the tuples at or above the n-th best score: ties go to
+    # the lower universe index, and NaN keys, never `> nth`, rank last.
+    contenders = np.flatnonzero(~(key > nth))
+    best = contenders[np.argsort(key[contenders], kind="stable")[:n]]
     return sorted(best.tolist())
 
 
 def _build_prompt(
     prompt_id: int,
     universe_index: int,
-    demo_tuple: tuple[int, ...],
+    ordered: tuple[int, ...],
     sample: KShotSample,
     test: Example,
     config: PromptSetConfig,
@@ -269,12 +268,8 @@ def _build_prompt(
     template: Template,
     tokenizer: Tokenizer,
 ) -> Prompt:
-    """Order one demo tuple, then drop least-similar demos until it fits the budget."""
-    current = list(
-        order_demonstrations(
-            demo_tuple, similarities, config.ordering, config.seed, universe_index
-        )
-    )
+    """Drop least-similar demos from an ordered tuple until it fits the budget."""
+    current = list(ordered)
     dropped: list[int] = []
     while True:
         text = template.render_prompt([sample.examples[i] for i in current], test)
@@ -293,9 +288,7 @@ def _build_prompt(
                 f"test input for {test.key} needs {count} tokens; "
                 f"budget is {config.input_budget}"
             )
-        victim_pos = min(
-            range(len(current)), key=lambda p: (similarities[current[p]], p)
-        )
+        victim_pos = min(range(len(current)), key=lambda p: (similarities[current[p]], p))
         dropped.append(current.pop(victim_pos))
 
 
@@ -311,17 +304,25 @@ def enumerate_prompts(
 
     Returns prompts with dense ids 0..n-1 assigned in universe order, so
     the same sample, config, and similarities always produce the same set.
+    Tuples that order to the same demos share one rendered, counted and
+    trimmed prompt; only their ids differ.
     """
     k = sample.k
     if len(similarities) != k:
         raise ValueError(f"{len(similarities)} similarities for k={k}")
-    return [
-        _build_prompt(
-            prompt_id, u, tuple_from_universe_index(u, k, config.demos_per_prompt),
-            sample, test, config, similarities, template, tokenizer,
+    d = config.demos_per_prompt
+    built: dict[tuple[int, ...], Prompt] = {}
+    prompts = []
+    for prompt_id, u in enumerate(_select_universe_indices(k, config, similarities)):
+        ordered = order_demonstrations(
+            tuple_from_universe_index(u, k, d), similarities, config.ordering, config.seed, u
         )
-        for prompt_id, u in enumerate(_select_universe_indices(k, config, similarities))
-    ]
+        if ordered not in built:
+            built[ordered] = _build_prompt(
+                prompt_id, u, ordered, sample, test, config, similarities, template, tokenizer
+            )
+        prompts.append(replace(built[ordered], prompt_id=prompt_id, universe_index=u))
+    return prompts
 
 
 def select_kate_prompt(
@@ -343,7 +344,6 @@ def select_kate_prompt(
         raise ValueError(f"{len(similarities)} similarities for k={k}")
     ranked = sorted(range(k), key=lambda i: (-similarities[i], i))
     demo_tuple = tuple(sorted(ranked[: config.demos_per_prompt]))
-    return _build_prompt(
-        0, universe_index_from_tuple(demo_tuple, k), demo_tuple,
-        sample, test, config, similarities, template, tokenizer,
-    )
+    u = universe_index_from_tuple(demo_tuple, k)
+    ordered = order_demonstrations(demo_tuple, similarities, config.ordering, config.seed, u)
+    return _build_prompt(0, u, ordered, sample, test, config, similarities, template, tokenizer)

@@ -88,3 +88,15 @@ def test_one_thread_pool():
     assert uses_by_module({"ThreadPoolExecutor"}, calls_only=True) == {
         "gateway.py": {("__init__", "ThreadPoolExecutor")},
     }
+
+
+def test_only_the_codec_memoizes():
+    # corpus caches one entry per dataclass type for its codec; a table
+    # cached anywhere else would live as long as the process, not the run.
+    assert uses_by_module({"lru_cache", "cache"}) == {
+        "corpus.py": {
+            ("<module>", "lru_cache"),
+            ("_init_field_names", "lru_cache"),
+            ("_init_field_types", "lru_cache"),
+        },
+    }

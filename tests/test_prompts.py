@@ -16,7 +16,7 @@ from mice.prompts import (
     Selection,
     Template,
     _select_universe_indices,
-    _universe_table,
+    _top_gated_scores,
     enumerate_prompts,
     order_demonstrations,
     select_kate_prompt,
@@ -154,13 +154,17 @@ class TestUniverse:
         assert combos == sorted(combos)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_table_rows_decode_their_index(self, d):
-        for k in range(1, 7):
-            table = _universe_table(k, d)
-            rows = [tuple(row) for row in table.tolist()]
-            assert rows == [
-                tuple_from_universe_index(u, k, d) for u in range(universe_size(k, d))
+    @settings(max_examples=20)
+    @given(st.lists(st.floats(-1, 1), min_size=7, max_size=7))
+    def test_ranking_scores_are_python_sums(self, d, sims):
+        # Bit for bit, so top-gated ties fall exactly where sum() puts them.
+        for k in range(1, 8):
+            scores = _top_gated_scores(k, d, sims[:k])
+            expected = [
+                sum(sims[i] for i in tuple_from_universe_index(u, k, d))
+                for u in range(universe_size(k, d))
             ]
+            assert [x.hex() for x in scores.tolist()] == [x.hex() for x in expected]
 
 
 class TestOrdering:
@@ -245,6 +249,23 @@ class TestSelection:
             k, d, max_prompts, sims
         )
 
+    # (k, demos, max prompts, similarities) -> the top-gated selection; several
+    # tuples tie at the n-th best score in each.
+    TIED_PICKS = {
+        (5, 2, 7, (0.3, 0.1, 0.3, 0.2, 0.1)): [0, 2, 3, 10, 12, 13, 15],
+        (6, 2, 10, (0.2, 0.5, 0.2, 0.5, 0.1, 0.2)): [1, 3, 6, 7, 8, 9, 11, 13, 19, 21],
+        (5, 3, 9, (0.4, 0.2, 0.4, 0.1, 0.2)): [0, 3, 5, 10, 12, 15, 24, 26, 27],
+        (6, 3, 20, (0.1, 0.3, 0.3, 0.2, 0.3, 0.1)): [
+            25, 26, 29, 30, 33, 34, 45, 46, 49, 50, 53, 54, 65, 66, 69, 70, 73, 74, 85, 89,
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(TIED_PICKS))
+    def test_top_gated_ties_at_the_cut_are_pinned(self, case):
+        k, d, n, sims = case
+        config = PromptSetConfig(demos_per_prompt=d, max_prompts=n)
+        assert _select_universe_indices(k, config, list(sims)) == self.TIED_PICKS[case]
+
     def test_seeded_random_is_reproducible(self):
         sample = tiny_sample()
         config = PromptSetConfig(
@@ -303,6 +324,21 @@ class TestSelection:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_top_gated_memory_is_released(self):
+        # k=32, d=4 ranks 863,040 tuples, 6.9 MB of scores; nothing may
+        # outlive the call.
+        config = PromptSetConfig(demos_per_prompt=4, max_prompts=256)
+        sims = [((i * 7) % 32) / 32 for i in range(32)]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _select_universe_indices(32, config, sims)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18_000_000
+        assert abs(after - before) < 1_000_000
 
     def test_seeded_random_differs_by_seed(self):
         sample = tiny_sample()
@@ -370,6 +406,80 @@ class TestBudget:
             PromptSetConfig(demos_per_prompt=0)
         with pytest.raises(ValueError):
             PromptSetConfig(max_sequence_length=100, generation_reserve=100)
+
+
+class CountingTokenizer:
+    """The word tokenizer, recording every text it counts."""
+
+    def __init__(self):
+        self.counted = []
+
+    def count(self, text):
+        self.counted.append(text)
+        return TOK.count(text)
+
+
+def reference_prompts(sample, test, config, sims):
+    """Each selected tuple ordered, then trimmed, on its own."""
+    k, d = sample.k, config.demos_per_prompt
+    prompts = []
+    for prompt_id, u in enumerate(_select_universe_indices(k, config, sims)):
+        current = list(order_demonstrations(
+            tuple_from_universe_index(u, k, d), sims, config.ordering, config.seed, u
+        ))
+        dropped = []
+        while True:
+            text = Template().render_prompt([sample.examples[i] for i in current], test)
+            if TOK.count(text) <= config.input_budget:
+                break
+            victim = min(range(len(current)), key=lambda p: (sims[current[p]], p))
+            dropped.append(current.pop(victim))
+        prompts.append(Prompt(
+            prompt_id, u, tuple(current), text, TOK.count(text), tuple(dropped)
+        ))
+    return prompts
+
+
+class TestBuildOnce:
+    # Demo i carries i padding clauses, so under the tight budget some
+    # prompts keep two demos, others one.
+    SAMPLE = sample_kshot(
+        Dataset(tuple(
+            make_example(f"d{i}", [f"reagent A{i}"], tail="was stirred." + " Then wait." * i)
+            for i in range(5)
+        ), "padded"),
+        k=5, seed=0,
+    )
+    TEST = make_example("t", ["water"])
+    SIMS = [0.3, 0.1, 0.3, 0.2, 0.5]
+
+    def config(self, d, ordering, budget=2048):
+        return PromptSetConfig(
+            demos_per_prompt=d, max_prompts=12, ordering=ordering,
+            max_sequence_length=budget + 16, generation_reserve=16,
+        )
+
+    @pytest.mark.parametrize("ordering", [Ordering.ASCEND, Ordering.DESCEND])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_distinct_text_is_counted_once(self, d, ordering):
+        tokenizer = CountingTokenizer()
+        prompts = enumerate_prompts(
+            self.SAMPLE, self.TEST, self.config(d, ordering), self.SIMS, Template(), tokenizer
+        )
+        texts = {p.text for p in prompts}
+        assert len(texts) < len(prompts)  # some permutations order alike
+        assert sorted(tokenizer.counted) == sorted(texts)
+
+    @pytest.mark.parametrize("budget", [2048, 85])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shared_builds_equal_per_tuple_builds(self, d, ordering, budget):
+        config = self.config(d, ordering, budget)
+        prompts = enumerate_prompts(
+            self.SAMPLE, self.TEST, config, self.SIMS, Template(), TOK
+        )
+        assert prompts == reference_prompts(self.SAMPLE, self.TEST, config, self.SIMS)
+        assert any(p.dropped_demo_indices for p in prompts) == (budget < 2048)
 
 
 class TestKatePrompt:
