@@ -225,6 +225,18 @@ def combine_single(
     )
 
 
+def kate_plus_requests(
+    prompt: str, decode: DecodeParams, n_samples: int
+) -> list[tuple[str, DecodeParams]]:
+    """The ``n_samples`` draws of one prompt, the i-th seeded ``(decode.seed or 0) + i``."""
+    if decode.mode is not DecodeMode.NUCLEUS:
+        raise ValueError("repeated sampling requires nucleus decoding")
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    base_seed = decode.seed or 0
+    return [(prompt, decode.with_seed(base_seed + i)) for i in range(n_samples)]
+
+
 def combine_kate_plus(
     kate_prompt: Prompt,
     backend: Backend,
@@ -236,20 +248,12 @@ def combine_kate_plus(
 ) -> tuple[list[CandidateAntecedent], list[Generation]]:
     """Sample the nearest-neighbors prompt repeatedly and pool the answers.
 
-    Each draw uses a distinct derived seed; surfaces are combined with the
-    membership indicator under uniform weights, so a candidate's combined
-    probability is the fraction of samples that produced it.
+    The library form of the resolver's kate-plus plan: the draws of
+    ``kate_plus_requests`` go through ``complete_many``, and a candidate's
+    combined probability is the fraction of samples that produced it.
     """
-    if decode.mode is not DecodeMode.NUCLEUS:
-        raise ValueError("repeated sampling requires nucleus decoding")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    base_seed = decode.seed or 0
-    generations = complete_many(
-        backend,
-        [(kate_prompt.text, decode.with_seed(base_seed + i)) for i in range(n_samples)],
-        parallelism,
-    )
+    requests = kate_plus_requests(kate_prompt.text, decode, n_samples)
+    generations = complete_many(backend, requests, parallelism)
     predictions = [
         extract_prediction(gen, template, tokenizer, prompt_id=i)
         for i, gen in enumerate(generations)

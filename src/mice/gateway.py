@@ -4,14 +4,15 @@ Two backends share one interface: a scripted in-process mock for tests and
 offline runs, and an HTTP client speaking a completion wire protocol. Both
 return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
-the model again. Backend calls fan out only through ``RequestPool`` and
-``complete_many``, which send each distinct request once. The HTTP
-completion client and the remote embedding client send their requests
-through one transport with one retry policy; no other module touches the
-network. The transport is the standard library's ``http.client``: each
-client keeps at most ``max_in_flight`` keep-alive connections to its
-endpoint, verifies TLS with the default ``ssl`` context, follows no
-redirects, and reads no proxy variables or ``~/.netrc``.
+the model again. Backend calls fan out only through ``RequestPool``, which
+the resolver shares across a split, and ``complete_many``, which sends one
+batch and waits; both send each distinct request once. The HTTP completion
+client and the remote embedding client send their requests through one
+transport with one retry policy; no other module touches the network. The
+transport is the standard library's ``http.client``: each client keeps at
+most ``max_in_flight`` keep-alive connections to its endpoint, verifies TLS
+with the default ``ssl`` context, follows no redirects, and reads no proxy
+variables or ``~/.netrc``.
 """
 from __future__ import annotations
 
@@ -676,6 +677,7 @@ def complete_many(
     """
     keys, unique = _dedup(requests)
     if parallelism <= 1 or len(unique) <= 1:
+        # Not a one-worker pool: its thread hand-offs made 10,000 draws ~1.7x slower.
         sent = [backend.complete(prompt, params) for prompt, params, _ in unique]
         return _by_position(keys, unique, sent)
     with RequestPool(backend, parallelism) as pool:

@@ -15,12 +15,13 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .combine import (
     CandidateAntecedent,
-    combine_kate_plus,
+    combine_kate_plus,  # not called; bench/tracing.py hooks it until ROADMAP direction 2
     combine_mice,
     combine_mice_sample,
     combine_product,
     combine_single,
     extract_prediction,
+    kate_plus_requests,
 )
 from .corpus import Dataset, Example, KShotSample, from_json, to_json
 from .gateway import (
@@ -174,12 +175,13 @@ class Resolver:
 
     def resolve_one(self, test: Example) -> ResolutionResult:
         """Build the prompts and gate for one test input, query, and finish."""
-        return self._start(test, self._send)()
+        requests, finish = self._plan(test)
+        return finish(complete_many(self.backend, requests, self.config.parallelism))
 
     def resolve_split(self, split: Dataset) -> SplitResult:
         """Resolve every example; failures degrade to empty predictions.
 
-        The split shares one request pool, and example i+1 is started, its
+        The split shares one request pool, and example i+1 is planned, its
         requests queued, before example i is finished; so the backend works
         while this thread builds prompts and combines answers. Results,
         warnings and failures still come in split order.
@@ -190,9 +192,11 @@ class Resolver:
 
             def start(example: Example) -> Callable[[], ResolutionResult] | Exception:
                 try:
-                    return self._start(example, pool.submit)
+                    requests, finish = self._plan(example)
                 except (PromptBudgetError, BackendError) as exc:
                     return exc
+                wait = pool.submit(requests)
+                return lambda: finish(wait())
 
             started = map(start, split)
             upcoming = next(started, None)
@@ -208,20 +212,14 @@ class Resolver:
                     backend_failures += isinstance(exc, BackendError)
         return replace(_assemble_split_result(results), backend_failures=backend_failures)
 
-    def _send(
-        self, requests: Sequence[tuple[str, DecodeParams]]
-    ) -> Callable[[], list[Generation]]:
-        """Send ``requests`` now; return the step that hands back their generations."""
-        generations = complete_many(self.backend, requests, self.config.parallelism)
-        return lambda: generations
+    def _plan(self, test: Example) -> tuple[
+        list[tuple[str, DecodeParams]], Callable[[Sequence[Generation]], ResolutionResult]
+    ]:
+        """Embed, build the prompts and gate for one test input; send nothing.
 
-    def _start(self, test: Example, submit: Callable) -> Callable[[], ResolutionResult]:
-        """Embed, build the prompts and gate for one test input, and ``submit`` its requests.
-
-        ``submit`` takes ``(prompt, params)`` pairs and returns the step
-        that waits for their generations, as ``RequestPool.submit`` does.
-        Returns the finish step, which waits and then runs ``_finish``.
-        kate-plus draws its samples here, before it returns.
+        Returns the example's ``(prompt, params)`` requests and the finish
+        step, which takes their generations by position and runs ``_finish``.
+        kate-plus requests the seeded draws of its one KATE prompt.
         """
         config = self.config
         combiner = config.combiner
@@ -238,15 +236,10 @@ class Resolver:
                 config.template, self.tokenizer,
             )
         if combiner is Combiner.KATE_PLUS:
-            # combine_kate_plus draws the samples; _finish rebuilds their
-            # candidates exactly as replay does.
-            n = config.kate_plus_samples
-            _, generations = combine_kate_plus(
-                prompts[0], self.backend, config.decode, n,
-                config.template, self.tokenizer, config.parallelism,
+            requests = kate_plus_requests(
+                prompts[0].text, config.decode, config.kate_plus_samples
             )
-            wait: Callable[[], Sequence[Generation]] = lambda: generations
-            prompt_ids = tuple(range(n))
+            prompt_ids = tuple(range(len(requests)))
             gating: Optional[GatingDistribution] = GatingDistribution.uniform(prompt_ids)
         else:
             if combiner is Combiner.KATE:
@@ -255,10 +248,10 @@ class Resolver:
                 gating = None
             else:
                 gating = gate(prompts, sims, config.gate_combine)
-            wait = submit([(p.text, config.decode) for p in prompts])
+            requests = [(p.text, config.decode) for p in prompts]
             prompt_ids = tuple(p.prompt_id for p in prompts)
-        return lambda: _finish(
-            test.key, _gold(test), prompt_ids, gating, wait(), config, self.tokenizer
+        return requests, lambda generations: _finish(
+            test.key, _gold(test), prompt_ids, gating, generations, config, self.tokenizer
         )
 
     def predict(self, example: Example) -> list[tuple[str, float]]:

@@ -90,6 +90,19 @@ def test_one_thread_pool():
     }
 
 
+def test_one_request_plan():
+    # The resolver plans each example's requests, kate-plus's seeded draws
+    # too, and sends them through the split's pool or, for one example,
+    # complete_many; combine_kate_plus is the library form of the same plan.
+    assert uses_by_module(
+        {"RequestPool", "complete_many", "combine_kate_plus"}, calls_only=True
+    ) == {
+        "combine.py": {("combine_kate_plus", "complete_many")},
+        "gateway.py": {("complete_many", "RequestPool")},
+        "pipeline.py": {("resolve_split", "RequestPool"), ("resolve_one", "complete_many")},
+    }
+
+
 def test_only_the_codec_memoizes():
     # corpus caches one entry per dataclass type for its codec; a table
     # cached anywhere else would live as long as the process, not the run.

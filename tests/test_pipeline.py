@@ -7,6 +7,7 @@ import time
 import pytest
 from conftest import FIXTURES
 
+from mice.combine import extract_prediction
 from mice.corpus import Dataset, Example, Span, from_json, load_corpus, sample_kshot, to_json
 from mice.distill import build_record
 from mice.gateway import (
@@ -289,16 +290,20 @@ class TestResolveSplit:
         assert set(errors.values()) == {None}
 
 
+def sampling(combiner, samples):
+    """The nucleus decode and sample count kate-plus needs; nothing for the rest."""
+    if combiner is not Combiner.KATE_PLUS:
+        return {}
+    return {"decode": DecodeParams.nucleus(seed=3), "kate_plus_samples": samples}
+
+
 def streaming_setup(combiner, parallelism=8):
     """A resolver over the noisy oracle and six synthetic examples for ``combiner``."""
     decoys = json.loads((FIXTURES / "synthetic_decoys.json").read_text(encoding="utf-8"))
     backend = NoisyOracleBackend(SYNTH_TRAIN, SYNTH_TEST, decoys)
-    extra = {}
-    if combiner is Combiner.KATE_PLUS:
-        extra = {"decode": DecodeParams.nucleus(seed=3), "kate_plus_samples": 8}
     config = RunConfig(
         combiner=combiner, prompt=PromptSetConfig(max_prompts=8), parallelism=parallelism,
-        **extra,
+        **sampling(combiner, 8),
     )
     split = Dataset(SYNTH_TEST.examples[:6], "synthetic")
     return Resolver(config, sample_kshot(SYNTH_TRAIN, 8, seed=3), backend), split
@@ -331,20 +336,24 @@ class TestStreamedSplit:
         assert 1 <= probe.peak <= parallelism
 
     @pytest.mark.parametrize(
-        "combiner, max_prompts, parallelism",
-        [(Combiner.KATE, 1, 2), (Combiner.MICE_S, 2, 3)],
+        "combiner, requests, parallelism",
+        [(Combiner.KATE, 1, 2), (Combiner.MICE_S, 2, 3), (Combiner.KATE_PLUS, 2, 3)],
     )
-    def test_next_example_is_queued_while_one_waits(self, combiner, max_prompts, parallelism):
+    def test_next_example_is_queued_while_one_waits(self, combiner, requests, parallelism):
         # Example 0's requests are answered only once example 1's arrive,
         # which happens only if example 1 is started before 0 is finished.
+        # A spare worker is left for example 1 beside example 0's requests.
         config = RunConfig(
-            combiner=combiner, prompt=PromptSetConfig(max_prompts=max_prompts),
-            parallelism=parallelism,
+            combiner=combiner, prompt=PromptSetConfig(max_prompts=requests),
+            parallelism=parallelism, **sampling(combiner, requests),
         )
         backend = HoldingBackend(echo_backend(), hold=TEST3[0].text, until=TEST3[1].text)
         split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
         assert [r.error for r in split_result.results] == [None] * len(TEST3)
-        assert split_result.report.f1 == 1.0
+        clean = Resolver(config, SAMPLE, echo_backend()).resolve_split(TEST3)
+        assert split_result.results == clean.results
+        if combiner is not Combiner.KATE_PLUS:  # sampled slots miss multi-token golds
+            assert split_result.report.f1 == 1.0
 
     @pytest.mark.parametrize("combiner", list(Combiner))
     def test_streaming_changes_no_result(self, combiner, tmp_path):
@@ -395,16 +404,33 @@ class TestStreamedSplit:
         assert split_result.backend_failures == 1
 
     def test_request_failure_while_next_example_is_queued(self):
-        # Example 1's request fails only once example 2's has been sent.
-        backend = HoldingBackend(echo_backend(), hold=TEST3[1].text, until=TEST3[2].text,
-                                 fail=True)
-        config = RunConfig(combiner=Combiner.KATE, parallelism=2)
-        split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
-        clean = Resolver(config, SAMPLE, echo_backend()).resolve_split(TEST3)
-        assert [r.error for r in split_result.results] == [None, "held request failed", None]
-        assert split_result.results[1].final == ()
-        assert split_result.results[::2] == clean.results[::2]
-        assert split_result.backend_failures == 1
+        # Example 1's requests fail only once example 2's have been sent.
+        for combiner, samples, parallelism in [(Combiner.KATE, 1, 2), (Combiner.KATE_PLUS, 2, 3)]:
+            backend = HoldingBackend(echo_backend(), hold=TEST3[1].text, until=TEST3[2].text,
+                                     fail=True)
+            config = RunConfig(
+                combiner=combiner, parallelism=parallelism, **sampling(combiner, samples)
+            )
+            split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
+            clean = Resolver(config, SAMPLE, echo_backend()).resolve_split(TEST3)
+            errors = [r.error for r in split_result.results]
+            assert errors == [None, "held request failed", None], combiner
+            assert split_result.results[1].final == ()
+            assert split_result.results[::2] == clean.results[::2]
+            assert split_result.backend_failures == 1
+
+    def test_kate_plus_extracts_each_sample_once(self, monkeypatch):
+        extracted = []
+
+        def counting(generation, *args, **kwargs):
+            extracted.append(generation)
+            return extract_prediction(generation, *args, **kwargs)
+
+        monkeypatch.setattr("mice.pipeline.extract_prediction", counting)
+        monkeypatch.setattr("mice.combine.extract_prediction", counting)
+        resolver, split = streaming_setup(Combiner.KATE_PLUS)
+        resolver.resolve_split(split)
+        assert len(extracted) == resolver.config.kate_plus_samples * len(split)
 
     def test_escaping_exception_cancels_queued_requests(self):
         real = echo_backend()
