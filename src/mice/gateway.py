@@ -9,20 +9,19 @@ the resolver shares across a split, and ``complete_many``, which sends one
 batch and waits; both send each distinct request once. The HTTP completion
 client and the remote embedding client send their requests through one
 transport with one retry policy; no other module touches the network. The
-transport is the standard library's ``http.client``: each client keeps at
-most ``max_in_flight`` keep-alive connections to its endpoint, verifies TLS
-with the default ``ssl`` context, follows no redirects, and reads no proxy
-variables or ``~/.netrc``.
+transport speaks HTTP/1.1 itself on ``socket`` and ``ssl``: each client keeps
+at most ``max_in_flight`` keep-alive connections to its endpoint, sends each
+request in one write, verifies TLS with the default ``ssl`` context, follows
+no redirects, and reads no proxy variables or ``~/.netrc``.
 """
 from __future__ import annotations
 
-import functools
-import http.client
 import json
 import logging
 import math
 import re
 import select
+import socket
 import ssl
 import threading
 import time
@@ -31,7 +30,7 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import BinaryIO, Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -426,21 +425,93 @@ def parse_response(payload: dict) -> Generation:
         raise BackendError(f"malformed completion response: {exc}") from exc
 
 
+# As in ``http.client``: the longest line, and the most headers, a reply may have.
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+_STATUS_RE = re.compile(rb"(HTTP/\d\.\d) +([1-9]\d\d)(?:\s|$)")
+
+
+class RemoteDisconnected(ConnectionResetError):
+    """The server closed the connection without a reply; named as ``http.client`` names it."""
+
+
+class ProtocolError(OSError):
+    """A reply that breaks HTTP/1.1 framing; retried like any other transport error."""
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
+    """One reply's status, whether its connection can carry another request, and its body."""
+
+    def line(what: str) -> bytes:
+        text = reader.readline(_MAX_LINE + 1)
+        if len(text) > _MAX_LINE:
+            raise ProtocolError(f"{what} line longer than {_MAX_LINE} bytes")
+        return text
+
+    def body(length: bytes, base: int = 10) -> bytes:
+        try:
+            size = int(length, base)
+        except ValueError:
+            size = -1
+        if size < 0 or len(data := reader.read(size)) < size:
+            raise ProtocolError(f"reply body does not match its length {length.strip()!r}")
+        return data
+
+    status = 100
+    while status < 200:  # a 1xx reply is interim
+        if not (text := line("status")):
+            raise RemoteDisconnected("Remote end closed connection without response")
+        if not (match := _STATUS_RE.match(text)):
+            raise ProtocolError(f"bad status line {text[:80]!r}")
+        status, fields = int(match[2]), []
+        while (text := line("header")).strip():
+            if len(fields) == _MAX_HEADERS:
+                raise ProtocolError(f"got more than {_MAX_HEADERS} headers")
+            fields.append(text.partition(b":"))
+    headers = {name.strip().lower(): value.strip().lower() for name, _, value in fields}
+    connection = headers.get(b"connection", b"")
+    keep_alive = b"close" not in connection and (
+        match[1] != b"HTTP/1.0" or b"keep-alive" in connection)
+    if status in (204, 304):
+        return status, keep_alive, b""
+    if headers.get(b"transfer-encoding") == b"chunked":
+        chunks = []
+        while chunk := body(line("chunk size").partition(b";")[0], 16):
+            chunks.append(chunk)
+            if reader.read(2) != b"\r\n":
+                raise ProtocolError("chunk data not followed by CRLF")
+        while line("trailer").strip():  # the last-chunk's trailer, then a blank line
+            pass
+        return status, keep_alive, b"".join(chunks)
+    if b"content-length" in headers:
+        return status, keep_alive, body(headers[b"content-length"])
+    return status, False, reader.read()
+
+
+def _close(conn: tuple[socket.socket, BinaryIO]) -> None:
+    conn[1].close()
+    conn[0].close()
+
+
 class _JSONTransport:
     """POSTs JSON to one endpoint over pooled keep-alive connections, with bounded retries.
 
-    ``endpoint`` must be an ``http`` or ``https`` URL with a host; anything
-    else raises ``ValueError`` at construction. Transport errors and 5xx
-    responses are retried up to ``_MAX_ATTEMPTS`` times with exponential
-    backoff; a certificate that fails verification, any other non-2xx
-    response (redirects are not followed), or a 2xx body that ``decode``
-    rejects, fails at once. A bounded semaphore caps in-flight requests, and
-    with them the open connections: a request takes an idle connection or,
-    when none is left, opens one, and hands it back unless the reply said
-    the server will close it. An idle connection the server has closed is
+    ``endpoint`` must be an ``http`` or ``https`` URL with a host, and a
+    space or control character in its host or path, or a line break in
+    ``token``, would break the request head; either raises ``ValueError`` at
+    construction. Each request is one write.
+    ``_read_reply`` skips 1xx replies and frames a body by chunked transfer
+    coding, else ``Content-Length``, else the connection's end; 204 and 304
+    have none. Transport errors, misframed replies and 5xx responses are
+    retried up to ``_MAX_ATTEMPTS`` times with exponential backoff; a
+    certificate that fails verification, any other non-2xx response
+    (redirects are not followed), or a 2xx body that ``decode`` rejects,
+    fails at once. A bounded semaphore caps in-flight requests, and with
+    them the open connections: a request takes an idle connection or, when
+    none is left, opens one, and hands it back unless the reply said
+    ``Connection: close``, was HTTP/1.0 without ``keep-alive``, or ran to
+    the connection's end. An idle connection the server has closed is
     discarded before use, so it costs no attempt. Every failure is a
-    ``BackendError`` whose message starts with ``label``, which names the
-    endpoint.
+    ``BackendError`` whose message starts with ``label``, naming the endpoint.
     """
 
     def __init__(self, label: str, endpoint: str, token: Optional[str], timeout: float,
@@ -449,21 +520,22 @@ class _JSONTransport:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"{label} endpoint is not an http:// or https:// URL "
                              f"with a host: {endpoint!r}")
-        if url.scheme == "https":
-            self._connect = functools.partial(
-                http.client.HTTPSConnection, url.hostname, url.port, timeout=timeout,
-                context=ssl.create_default_context())
-        else:
-            self._connect = functools.partial(
-                http.client.HTTPConnection, url.hostname, url.port, timeout=timeout)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        default_port = 443 if url.scheme == "https" else 80
+        self._address = (url.hostname, url.port or default_port)
+        self._timeout = timeout
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        host += f":{url.port}" if url.port not in (None, default_port) else ""
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if re.search(r"[\x00-\x20\x7f]", host + path) or re.search(r"[\r\n]", token or ""):
+            raise ValueError(f"{label} endpoint or token holds a space or control character")
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
+        self._head = (f"POST {path} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+                      f"Content-Type: application/json\r\n{auth}").encode("latin-1")
         self._label = label
-        self._headers = {"Content-Type": "application/json"}
-        if token:
-            self._headers["Authorization"] = f"Bearer {token}"
         self._sleep = sleep
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[tuple[socket.socket, BinaryIO]] = []
 
     def post(self, body: dict, decode: Callable):
         """Send ``body``; return ``decode`` applied to the JSON reply."""
@@ -478,7 +550,7 @@ class _JSONTransport:
                 # Retrying cannot make an untrusted certificate trusted.
                 raise BackendError(f"{self._label} failed: {type(exc).__name__}: {exc}",
                                    attempts=attempt) from exc
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:
                 last_status = status
@@ -506,37 +578,42 @@ class _JSONTransport:
         """POST ``payload`` on a pooled connection; return the status and the whole body."""
         conn = self._checkout()
         try:
-            conn.request("POST", self._path, payload, self._headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            conn[0].sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(payload), payload))
+            status, keep_alive, data = _read_reply(conn[1])
         except BaseException:
-            conn.close()
+            _close(conn)
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep_alive:
             self._idle.append(conn)
-        return resp.status, data
+        else:
+            _close(conn)
+        return status, data
 
-    def _checkout(self) -> http.client.HTTPConnection:
-        """An idle connection the server has not closed, or else a new one."""
+    def _checkout(self) -> tuple[socket.socket, BinaryIO]:
+        """An idle connection the server has not closed, or else a new one, with its reader."""
         while True:
             try:
                 conn = self._idle.pop()
             except IndexError:
-                return self._connect()
+                break
             # An idle socket that polls readable holds either EOF or bytes no
             # request asked for; either way it cannot carry the next request.
             poller = select.poll()
-            poller.register(conn.sock, select.POLLIN)
+            poller.register(conn[0], select.POLLIN)
             if not poller.poll(0):
                 return conn
-            conn.close()
+            _close(conn)
+        sock = socket.create_connection(self._address, self._timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tls is not None:
+            # A failed handshake closes the socket it wrapped.
+            sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        return sock, sock.makefile("rb")
 
     def close(self) -> None:
         """Close the idle connections."""
         while self._idle:
-            self._idle.pop().close()
+            _close(self._idle.pop())
 
 
 class HTTPBackend:

@@ -66,9 +66,19 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def similarities(test_vector: np.ndarray, demo_vectors: np.ndarray) -> np.ndarray:
-    """Cosine similarity of the test passage against each demonstration."""
-    return np.array([cosine(test_vector, demo_vectors[i]) for i in range(demo_vectors.shape[0])])
+def row_norms(vectors: np.ndarray) -> list[float]:
+    """Each row's norm, as ``cosine`` computes it."""
+    return [float(np.linalg.norm(row)) for row in vectors]
+
+
+def similarities(test_vector: np.ndarray, demo_vectors: np.ndarray,
+                 demo_norms: Sequence[float]) -> np.ndarray:
+    """Each demo's ``cosine`` with the test passage, bit for bit, given their ``row_norms``."""
+    if demo_vectors.shape[1:] != test_vector.shape:
+        raise ValueError(f"dimension mismatch: {test_vector.shape} vs {demo_vectors.shape[1:]}")
+    nt = float(np.linalg.norm(test_vector))
+    return np.array([float(np.dot(test_vector, row) / (nt * nd)) if nt and nd else 0.0
+                     for row, nd in zip(demo_vectors, demo_norms, strict=True)])
 
 
 @dataclass(frozen=True)

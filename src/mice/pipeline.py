@@ -35,7 +35,7 @@ from .gateway import (
     WordTokenizer,
     complete_many,
 )
-from .gating import Embedder, GatingDistribution, HashingEmbedder, gate, similarities
+from .gating import Embedder, GatingDistribution, HashingEmbedder, gate, row_norms, similarities
 from .metrics import ScoreReport, micro_f1
 from .postfilter import FilterConfig, filter_and_merge
 from .prompts import (
@@ -157,12 +157,13 @@ class Resolver:
         self._demo_vectors = self.embedder.embed(
             [template.render_example(ex, include_answer=False) for ex in sample]
         )
+        self._demo_norms = row_norms(self._demo_vectors)
 
     def _similarities(self, test: Example) -> list[float]:
         test_vector = self.embedder.embed(
             [self.config.template.render_example(test, include_answer=False)]
         )[0]
-        return [float(s) for s in similarities(test_vector, self._demo_vectors)]
+        return [float(s) for s in similarities(test_vector, self._demo_vectors, self._demo_norms)]
 
     def _effective_prompt_config(self) -> PromptSetConfig:
         if self.config.combiner is Combiner.PRODUCT:

@@ -188,13 +188,16 @@ class Reply:
     """A scripted response: a dict or list payload is sent as JSON, bytes as is.
 
     ``hang_up`` closes the connection after the reply without announcing it,
-    as a server whose keep-alive timeout expires does.
+    as a server whose keep-alive timeout expires does. ``raw``, when given,
+    is written verbatim in place of the whole reply, status line and headers
+    included, so a test can send framing no well-behaved server would.
     """
 
     status: int = 200
     payload: object = None
     headers: Mapping[str, str] = field(default_factory=dict)
     hang_up: bool = False
+    raw: Optional[bytes] = None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -213,6 +216,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         reply = outcome if isinstance(outcome, Reply) else Reply(outcome)
+        if reply.raw is not None:
+            self.wfile.write(reply.raw)
+            self.close_connection = reply.hang_up
+            return
         payload = self.server.script.body if reply.payload is None else reply.payload
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(reply.status)

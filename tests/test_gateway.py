@@ -5,6 +5,7 @@ The HTTP clients run against a scripted server on 127.0.0.1 (``serve``).
 import functools
 import json
 import math
+import socket
 import sys
 import threading
 import time
@@ -293,6 +294,7 @@ class TestWireSchema:
 
 
 GOOD = {"choices": [{"text": "water"}]}
+GOOD_BYTES = json.dumps(GOOD).encode("utf-8")
 
 
 def http_backend(serve, outcomes, **kwargs):
@@ -302,13 +304,14 @@ def http_backend(serve, outcomes, **kwargs):
     return backend, server, sleeps
 
 
-def both_clients(serve, outcomes, tls=False):
+def both_clients(serve, outcomes, tls=False, **kwargs):
     """The completion and the embedding client, each against a server replaying ``outcomes``.
 
     An int in ``outcomes`` is a response with that status and the client's
     valid body. Yields ``(send, expected, server, sleeps)``: ``send()``
     makes one request and returns ``expected`` when it succeeds. With
-    ``tls`` the servers speak HTTPS (see ``LoopbackServer``).
+    ``tls`` the servers speak HTTPS (see ``LoopbackServer``); ``kwargs`` go
+    to both clients.
     """
     for make, send, body, expected in (
         (HTTPBackend, lambda c: c.complete("p", DecodeParams.greedy()).text, GOOD, "water"),
@@ -316,8 +319,18 @@ def both_clients(serve, outcomes, tls=False):
     ):
         sleeps = []
         server = serve(outcomes, body, tls)
-        client = server.client(make, sleep=sleeps.append)
+        client = server.client(make, sleep=sleeps.append, **kwargs)
         yield functools.partial(send, client), expected, server, sleeps
+
+
+def raw_reply(head: bytes, body: bytes = GOOD_BYTES, **kwargs) -> Reply:
+    """A verbatim reply: the status line and headers in ``head``, then a blank line and ``body``."""
+    return Reply(raw=head + b"\r\n\r\n" + body, **kwargs)
+
+
+def sized(head: bytes = b"HTTP/1.1 200 OK") -> Reply:
+    """A verbatim reply of ``GOOD`` after ``head``, framed by its ``Content-Length``."""
+    return raw_reply(head + b"\r\nContent-Length: %d" % len(GOOD_BYTES))
 
 
 class TestHTTPBackend:
@@ -438,6 +451,107 @@ class TestTransport:
         assert server.calls[0]["headers"]["Content-Type"] == "application/json"
         assert server.calls[0]["path"] == "/v1/endpoint"
 
+    def test_dropped_connection_message(self, serve):
+        for (send, _, _, _), label in zip(
+            both_clients(serve, [DROP] * 3), ("completion", "embedding request")
+        ):
+            with pytest.raises(BackendError) as info:
+                send()
+            assert str(info.value) == (
+                f"{label} failed after 3 attempts: "
+                "RemoteDisconnected: Remote end closed connection without response"
+            )
+
+    def test_each_request_is_one_write(self, serve, monkeypatch):
+        me = threading.current_thread()
+        writes = []
+        sendall = socket.socket.sendall
+
+        def recording(sock, data, *args):
+            if threading.current_thread() is me:
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording)
+        backend, server, _ = http_backend(serve, [200] * 3)
+        for prompt in ("p", "q", "r"):
+            backend.complete(prompt, DecodeParams.greedy())
+        assert len(writes) == 3
+        for write, call in zip(writes, server.calls):
+            assert write.startswith(b"POST /v1/endpoint HTTP/1.1\r\n")
+            assert write.endswith(b"\r\n\r\n" + call["body"])
+
+    @pytest.mark.parametrize("trailer", [b"", b"X-Trailer: t\r\n"], ids=["plain", "trailer"])
+    def test_chunked_body_decodes(self, serve, trailer):
+        chunked = b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\n%s\r\n" % (
+            5, GOOD_BYTES[:5], len(GOOD_BYTES) - 5, GOOD_BYTES[5:], trailer)
+        reply = Reply(raw=b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked)
+        backend, server, sleeps = http_backend(serve, [reply, reply], timeout=5)
+        started = time.monotonic()
+        for prompt in ("p", "q"):
+            assert backend.complete(prompt, DecodeParams.greedy()).text == "water"
+        assert time.monotonic() - started < 1
+        assert server.connections == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "reply, connections",
+        [
+            (sized(b"HTTP/1.0 200 OK"), 2),
+            (raw_reply(b"HTTP/1.1 200 OK", hang_up=True), 2),
+            (sized(b"HTTP/1.0 200 OK\r\nConnection: keep-alive"), 1),
+        ],
+        ids=["http-1.0", "ends-at-eof", "http-1.0-keep-alive"],
+    )
+    def test_reply_framing_decides_reuse(self, serve, reply, connections):
+        backend, server, sleeps = http_backend(serve, [reply, reply])
+        for prompt in ("p", "q"):
+            assert backend.complete(prompt, DecodeParams.greedy()).text == "water"
+        assert server.connections == connections
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status, error", [(204, "unusable body"), (304, "rejected")])
+    def test_bodiless_status_does_not_wait(self, serve, status, error):
+        reply = Reply(raw=b"HTTP/1.1 %d Nothing\r\n\r\n" % status)
+        backend, server, sleeps = http_backend(serve, [reply, 200], timeout=5)
+        started = time.monotonic()
+        with pytest.raises(BackendError, match=error):
+            backend.complete("p", DecodeParams.greedy())
+        assert time.monotonic() - started < 1
+        assert backend.complete("q", DecodeParams.greedy()).text == "water"
+        assert server.connections == 1
+        assert sleeps == []
+
+    def test_interim_continue_is_skipped(self, serve):
+        reply = Reply(raw=b"HTTP/1.1 100 Continue\r\n\r\n" + sized().raw)
+        backend, server, sleeps = http_backend(serve, [reply])
+        assert backend.complete("p", DecodeParams.greedy()).text == "water"
+        assert len(server.calls) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (Reply(raw=b"garbage\r\n\r\n"), "bad status line"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 100", b"{}", hang_up=True),
+             "does not match its length"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 2",
+                       b"{}"), "header line longer than 65536 bytes"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked", b"2\r\n{}}\r\n0\r\n\r\n"),
+             "chunk data not followed by CRLF"),
+        ],
+        ids=["garbage-status-line", "short-body", "long-header", "chunk-overrun"],
+    )
+    def test_misframed_reply_is_retried_then_fails(self, serve, reply, error):
+        for send, _, server, sleeps in both_clients(serve, [reply] * 3, timeout=5):
+            started = time.monotonic()
+            with pytest.raises(BackendError, match=f"ProtocolError: .*{error}") as info:
+                send()
+            assert time.monotonic() - started < 2
+            assert info.value.attempts == 3
+            assert len(server.calls) == 3
+            assert sleeps == [0.5, 1.0]
+
     def test_runs_without_the_requests_package(self, serve, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)
         backend, _, _ = http_backend(serve, [200])
@@ -450,6 +564,17 @@ class TestTransport:
         for make in (HTTPBackend, RemoteEmbedder):
             with pytest.raises(ValueError, match="not an http"):
                 make(endpoint)
+
+
+    @pytest.mark.parametrize(
+        "endpoint, token",
+        [("http://127.0.0.1:9/v1 x", None), ("http://127.0.0.1:9/v1", "t\r\nX-Injected: 1")],
+        ids=["space-in-path", "line-break-in-token"],
+    )
+    def test_request_head_breakers_are_rejected_at_construction(self, endpoint, token):
+        for make in (HTTPBackend, RemoteEmbedder):
+            with pytest.raises(ValueError, match="space or control character"):
+                make(endpoint, token=token)
 
 
 class TestTLS:

@@ -13,10 +13,18 @@ from mice.gating import (
     HashingEmbedder,
     cosine,
     gate,
+    row_norms,
     similarities,
 )
 from mice.prompts import Prompt
 from support import DROP, Reply
+
+
+def vectors(dim):
+    """Vectors of ``dim`` finite floats, the zero vector among them."""
+    return st.one_of(
+        st.just([0.0] * dim), st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    )
 
 
 def make_prompt(pid, demos):
@@ -123,11 +131,23 @@ class TestCosine:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             cosine(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError, match="mismatch"):
+            similarities(np.zeros(3), np.ones((2, 4)), [2.0, 2.0])
 
     def test_similarities_vectorizes(self):
         demos = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        sims = similarities(np.array([1.0, 0.0]), demos)
+        sims = similarities(np.array([1.0, 0.0]), demos, row_norms(demos))
         assert sims == pytest.approx([1.0, 0.0, 1 / math.sqrt(2)])
+
+    @given(st.integers(1, 8).flatmap(
+        lambda dim: st.tuples(vectors(dim), st.lists(vectors(dim), max_size=6))))
+    def test_similarities_are_per_row_cosine_bit_for_bit(self, case):
+        test = np.array(case[0])
+        demos = np.array(case[1]).reshape(-1, len(test))
+        expected = np.array([cosine(test, row) for row in demos], dtype=np.float64)
+        sims = similarities(test, demos, row_norms(demos))
+        assert sims.dtype == np.float64
+        assert sims.tobytes() == expected.tobytes()
 
 
 class TestGatingDistribution:
