@@ -258,13 +258,16 @@ def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
 
 
 def _seed_list(args: argparse.Namespace) -> list[int]:
-    if args.seeds and args.seed is not None:
+    if args.seeds is not None and args.seed is not None:
         raise UsageError("--seed and --seeds are mutually exclusive")
-    if args.seeds:
+    if args.seeds is not None:
         try:
-            return [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError as exc:
             raise UsageError(f"bad --seeds value: {args.seeds!r}") from exc
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise UsageError(f"--seeds must name one or more distinct seeds: {args.seeds!r}")
+        return seeds
     if args.seed is not None:
         return [args.seed]
     raise UsageError("pass --seed or --seeds")

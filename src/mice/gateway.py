@@ -6,13 +6,14 @@ return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
 the model again. Backend calls fan out only through ``RequestPool``, which
 the resolver shares across a split, and ``complete_many``, which sends one
-batch and waits; both send each distinct request once. The HTTP completion
-client and the remote embedding client send their requests through one
-transport with one retry policy; no other module touches the network. The
-transport speaks HTTP/1.1 itself on ``socket`` and ``ssl``: each client keeps
-at most ``max_in_flight`` keep-alive connections to its endpoint, sends each
-request in one write, verifies TLS with the default ``ssl`` context, follows
-no redirects, and reads no proxy variables or ``~/.netrc``.
+batch and waits; both send exactly the requests they are given. The HTTP
+completion client and the remote embedding client send their requests
+through one transport with one retry policy; no other module touches the
+network. The transport speaks HTTP/1.1 itself on ``socket`` and ``ssl``: each
+client keeps at most ``max_in_flight`` keep-alive connections to its
+endpoint, sends each request in one write, verifies TLS with the default
+``ssl`` context, follows no redirects, and reads no proxy variables or
+``~/.netrc``.
 """
 from __future__ import annotations
 
@@ -650,7 +651,7 @@ class RemoteEmbedder:
 
         def vectors(payload) -> np.ndarray:
             rows = np.asarray(payload["vectors"], dtype=np.float64)
-            if rows.shape[:1] != (len(texts),):
+            if rows.ndim != 2 or len(rows) != len(texts):
                 raise ValueError(f"shape {rows.shape} for {len(texts)} texts")
             return rows
 
@@ -659,30 +660,6 @@ class RemoteEmbedder:
     def close(self) -> None:
         """Close the idle keep-alive connections."""
         self._transport.close()
-
-
-def _dedup(
-    requests: Sequence[tuple[str, DecodeParams]],
-) -> tuple[list[tuple], list[tuple]]:
-    """Each request's key, and the distinct keys in first-seen order.
-
-    A key is ``(prompt, params, position)``, where the position is ``None``
-    unless the request is a nucleus draw without a seed: such a draw is
-    independent and never merged.
-    """
-    keys = []
-    for i, (prompt, params) in enumerate(requests):
-        independent = params.mode is DecodeMode.NUCLEUS and params.seed is None
-        keys.append((prompt, params, i if independent else None))
-    return keys, list(dict.fromkeys(keys))
-
-
-def _by_position(
-    keys: list[tuple], unique: list[tuple], sent: Sequence[Generation]
-) -> list[Generation]:
-    """Hand each distinct request's generation to every position that asked for it."""
-    by_key = dict(zip(unique, sent))
-    return [by_key[key] for key in keys]
 
 
 class RequestPool:
@@ -708,14 +685,13 @@ class RequestPool:
     def submit(
         self, requests: Sequence[tuple[str, DecodeParams]]
     ) -> Callable[[], list[Generation]]:
-        """Queue each distinct request once; return the step that waits for them.
+        """Queue every request, duplicates included; return the step that waits.
 
         The wait step returns the generations by position, as
         ``complete_many`` does, and raises the first failure in the order
-        the distinct requests were queued. Once a request of the batch has
-        failed, its requests that have not started are not sent.
+        the requests were queued. Once a request of the batch has failed,
+        its requests that have not started are not sent.
         """
-        keys, unique = _dedup(requests)
         failed = threading.Event()
 
         def send(prompt: str, params: DecodeParams) -> Generation:
@@ -729,10 +705,10 @@ class RequestPool:
                 failed.set()
                 raise
 
-        futures = [self._executor.submit(send, prompt, params) for prompt, params, _ in unique]
+        futures = [self._executor.submit(send, prompt, params) for prompt, params in requests]
 
         def wait() -> list[Generation]:
-            return _by_position(keys, unique, [future.result() for future in futures])
+            return [future.result() for future in futures]
 
         return wait
 
@@ -742,20 +718,17 @@ def complete_many(
     requests: Sequence[tuple[str, DecodeParams]],
     parallelism: int = 8,
 ) -> list[Generation]:
-    """Send ``(prompt, params)`` requests to the backend, preserving order.
+    """Send every ``(prompt, params)`` request to the backend, preserving order.
 
-    Each distinct request is sent once and its generation is returned at
-    every position that asked for it; a nucleus request without a seed is
-    an independent draw and is never merged. Results come back indexed by
-    position regardless of completion order, so downstream aggregation
-    never depends on thread scheduling. A single distinct request, or a
+    Requests are sent as given, duplicates included; merging requests that
+    may share a generation is the caller's choice. Results come back
+    indexed by position regardless of completion order, so downstream
+    aggregation never depends on thread scheduling. A single request, or a
     ``parallelism`` of 1, is sent on the calling thread; otherwise the
     batch goes through a ``RequestPool`` of its own.
     """
-    keys, unique = _dedup(requests)
-    if parallelism <= 1 or len(unique) <= 1:
+    if parallelism <= 1 or len(requests) <= 1:
         # Not a one-worker pool: its thread hand-offs made 10,000 draws ~1.7x slower.
-        sent = [backend.complete(prompt, params) for prompt, params, _ in unique]
-        return _by_position(keys, unique, sent)
+        return [backend.complete(prompt, params) for prompt, params in requests]
     with RequestPool(backend, parallelism) as pool:
         return pool.submit(requests)()

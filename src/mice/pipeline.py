@@ -163,6 +163,11 @@ class Resolver:
         test_vector = self.embedder.embed(
             [self.config.template.render_example(test, include_answer=False)]
         )[0]
+        if test_vector.shape != self._demo_vectors.shape[1:]:
+            raise BackendError(
+                f"embedding of {test.key} has shape {test_vector.shape}, "
+                f"the demonstrations' {self._demo_vectors.shape[1:]}"
+            )
         return [float(s) for s in similarities(test_vector, self._demo_vectors, self._demo_norms)]
 
     def _effective_prompt_config(self) -> PromptSetConfig:
@@ -219,8 +224,11 @@ class Resolver:
         """Embed, build the prompts and gate for one test input; send nothing.
 
         Returns the example's ``(prompt, params)`` requests and the finish
-        step, which takes their generations by position and runs ``_finish``.
-        kate-plus requests the seeded draws of its one KATE prompt.
+        step, which takes their generations by position, hands each prompt
+        its request's generation and runs ``_finish``. Prompts with the same
+        text share one request, except unseeded nucleus draws, which are
+        independent. kate-plus requests the seeded draws of its one KATE
+        prompt.
         """
         config = self.config
         combiner = config.combiner
@@ -242,6 +250,7 @@ class Resolver:
             )
             prompt_ids = tuple(range(len(requests)))
             gating: Optional[GatingDistribution] = GatingDistribution.uniform(prompt_ids)
+            slots = prompt_ids
         else:
             if combiner is Combiner.KATE:
                 gating = GatingDistribution.single(prompts[0].prompt_id)
@@ -249,10 +258,18 @@ class Resolver:
                 gating = None
             else:
                 gating = gate(prompts, sims, config.gate_combine)
-            requests = [(p.text, config.decode) for p in prompts]
+            decode = config.decode
+            unseeded = decode.mode is DecodeMode.NUCLEUS and decode.seed is None
+            distinct: dict[tuple[str, Optional[int]], int] = {}
+            slots = tuple(
+                distinct.setdefault((p.text, i if unseeded else None), len(distinct))
+                for i, p in enumerate(prompts)
+            )
+            requests = [(text, decode) for text, _ in distinct]
             prompt_ids = tuple(p.prompt_id for p in prompts)
         return requests, lambda generations: _finish(
-            test.key, _gold(test), prompt_ids, gating, generations, config, self.tokenizer
+            test.key, _gold(test), prompt_ids, gating, [generations[s] for s in slots],
+            config, self.tokenizer,
         )
 
     def predict(self, example: Example) -> list[tuple[str, float]]:

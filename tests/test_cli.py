@@ -176,6 +176,13 @@ class TestResolve:
     def test_bad_seeds_string_rejected(self, capsys):
         assert run(resolve_args("--seeds", "1,two")) == 1
 
+    @pytest.mark.parametrize("seeds", ["", ",", "1,1", "2,1,2"])
+    def test_empty_or_repeated_seeds_rejected(self, seeds, tmp_path, capsys):
+        manifest = tmp_path / "run.jsonl"
+        assert run(resolve_args("--seeds", seeds, "--manifest", str(manifest))) == 1
+        assert "error: --seeds must name one or more distinct seeds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_kate_combiner(self, capsys):
         assert run(resolve_args("--seed", "1", "--combiner", "kate")) == 0
         assert json.loads(capsys.readouterr().out)["f1"] == 1.0

@@ -626,46 +626,22 @@ class TestCompleteMany:
         assert complete_many(MockBackend([]), []) == []
 
     @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_duplicate_requests_are_sent_once(self, parallelism):
+    def test_every_request_is_sent_duplicates_included(self, parallelism):
+        # Merging requests is the resolver's plan; the gateway sends what it is given.
         backend = MockBackend(
-            [ScriptedEntry(answer=f"answer {i}", contains=(f"prompt {i} ",)) for i in range(3)]
+            [ScriptedEntry(answer=f"answer {i}", contains=(f"prompt {i} ",)) for i in range(3)],
+            default_answer="x",
         )
         order = [0, 1, 0, 2, 1, 0]
         batch = [(f"prompt {i} end", DecodeParams.greedy()) for i in order]
+        batch += [("p", DecodeParams.nucleus(seed=3))] * 2 + [("p", DecodeParams.nucleus())] * 2
+        expected = [f"answer {i}" for i in order] + ["x"] * 4
         generations = complete_many(backend, batch, parallelism=parallelism)
-        assert [g.text for g in generations] == [f"answer {i}" for i in order]
-        assert backend.request_count == 3
-
-    def test_identical_seeded_nucleus_requests_are_sent_once(self):
-        backend = MockBackend([], default_answer="x")
-        batch = [("p", DecodeParams.nucleus(seed=3))] * 4
-        generations = complete_many(backend, batch, parallelism=2)
-        assert [g.text for g in generations] == ["x"] * 4
-        assert backend.request_count == 1
-
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_unseeded_nucleus_requests_are_independent_draws(self, parallelism):
-        backend = MockBackend([], default_answer="x")
-        batch = [("p", DecodeParams.nucleus())] * 4 + [("p", DecodeParams.greedy())] * 2
-        generations = complete_many(backend, batch, parallelism=parallelism)
-        assert len(generations) == 6
-        assert backend.request_count == 5
-
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_failure_of_a_merged_request_propagates(self, parallelism):
-        calls = []
-
-        class Failing:
-            def complete(self, prompt, params):
-                calls.append(prompt)
-                if prompt == "bad":
-                    raise BackendError("boom", status=503)
-                return Generation(text=prompt)
-
-        batch = [(p, DecodeParams.greedy()) for p in ["ok", "bad", "ok", "bad"]]
-        with pytest.raises(BackendError, match="boom"):
-            complete_many(Failing(), batch, parallelism=parallelism)
-        assert calls.count("bad") == 1
+        assert [g.text for g in generations] == expected
+        assert backend.request_count == len(batch)
+        with RequestPool(backend, parallelism) as pool:
+            assert [g.text for g in pool.submit(batch)()] == expected
+        assert backend.request_count == 2 * len(batch)
 
     def test_serial_path_matches_parallel(self):
         backend = MockBackend([], default_answer="x")
@@ -686,7 +662,7 @@ class TestRequestPool:
             second = pool.submit([(f"prompt {i} end", greedy) for i in [2, 2]])
             assert [g.text for g in second()] == ["answer 2"] * 2
             assert [g.text for g in first()] == ["answer 0", "answer 1", "answer 0"]
-        assert backend.request_count == 3
+        assert backend.request_count == 5
 
     def test_a_batch_stops_at_its_first_failure(self):
         calls = []

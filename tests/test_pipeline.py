@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from conftest import FIXTURES
 
@@ -129,7 +130,7 @@ class TestResolveOne:
         assert result.prompt_ids == tuple(range(16))
         assert result.request_count == 16
         # Under ascend ordering (i, j) and (j, i) render to the same text,
-        # and complete_many sends each distinct request once: the 4
+        # and the resolver's plan sends each distinct text once: the 4
         # diagonal prompts plus the 6 distinct pairs reach the backend.
         assert backend.request_count == 10
         assert sum(result.gating.weights.values()) == pytest.approx(1.0, abs=1e-9)
@@ -320,6 +321,88 @@ class FailingEmbedder:
         if any(self._poison in t for t in texts):
             raise BackendError("embedding endpoint down")
         return self._inner.embed(texts)
+
+
+class SkewedEmbedder:
+    """A hashing embedder that adds one column for any text containing ``skew``."""
+
+    def __init__(self, skew):
+        self._inner = HashingEmbedder(RunConfig().embed_dim)
+        self._skew = skew
+
+    def embed(self, texts):
+        vectors = self._inner.embed(texts)
+        if any(self._skew in t for t in texts):
+            return np.hstack([vectors, np.zeros((len(texts), 1))])
+        return vectors
+
+
+def test_embedding_of_another_width_fails_only_its_example():
+    embedder = SkewedEmbedder(TEST3[1].text)
+    split_result = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder).resolve_split(TEST3)
+    clean = Resolver(RunConfig(), SAMPLE, echo_backend()).resolve_split(TEST3)
+    assert [r.error for r in split_result.results] == [
+        None, f"embedding of {TEST3[1].key} has shape (1025,), the demonstrations' (1024,)", None
+    ]
+    assert split_result.results[::2] == clean.results[::2]
+    assert split_result.backend_failures == 1
+
+
+def resolve_all(resolver, split, how):
+    """Results of ``split`` through ``resolve_split`` or one ``resolve_one`` call each."""
+    if how == "split":
+        return resolver.resolve_split(split).results
+    return tuple(resolver.resolve_one(example) for example in split)
+
+
+class TestSharedPrompts:
+    """The resolver's plan sends each distinct prompt text once per example."""
+
+    @pytest.mark.parametrize("how", ["one", "split"])
+    @pytest.mark.parametrize(
+        "decode, sent",
+        [(DecodeParams.greedy(), 10), (DecodeParams.nucleus(seed=3), 10),
+         (DecodeParams.nucleus(), 16)],
+        ids=["greedy", "seeded-nucleus", "unseeded-nucleus"],
+    )
+    def test_requests_per_example(self, decode, sent, how):
+        # k=4, d=2 under ascend ordering: 16 prompts for 10 distinct texts;
+        # unseeded nucleus draws are independent, so every prompt is sent.
+        backend = echo_backend()
+        resolver = Resolver(RunConfig(decode=decode), SAMPLE, backend)
+        results = resolve_all(resolver, TEST3, how)
+        assert backend.request_count == sent * len(TEST3)
+        for result in results:
+            assert result.request_count == len(result.generations) == 16
+            assert len({id(g) for g in result.generations}) == sent
+        assert [r.error for r in results] == [None] * len(TEST3)
+
+    @pytest.mark.parametrize("how", ["one", "split"])
+    def test_failure_of_a_shared_prompt_fails_its_example_once(self, how):
+        # Example 1's prompts on (train-organic-14, train-acids-01) and on
+        # its reverse share one text.
+        def shared(prompt):
+            return all(t in prompt for t in (TEST3[1].text, "train-organic-14", "train-acids-01"))
+
+        calls = []
+        real = echo_backend()
+
+        class Failing:
+            def complete(self, prompt, params):
+                calls.append(prompt)
+                if shared(prompt):
+                    raise BackendError("shared prompt failed")
+                return real.complete(prompt, params)
+
+        resolver = Resolver(RunConfig(parallelism=1), SAMPLE, Failing())
+        if how == "one":
+            with pytest.raises(BackendError, match="shared prompt failed"):
+                resolver.resolve_one(TEST3[1])
+        else:
+            split_result = resolver.resolve_split(TEST3)
+            assert [r.error for r in split_result.results] == [None, "shared prompt failed", None]
+            assert split_result.backend_failures == 1
+        assert len([prompt for prompt in calls if shared(prompt)]) == 1
 
 
 class TestStreamedSplit:
