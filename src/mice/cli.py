@@ -7,6 +7,7 @@ output or to files named by flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -201,7 +202,9 @@ def _load_template(path: Optional[str]) -> Template:
     return Template(**payload)
 
 
-def _build_backend(args: argparse.Namespace, template: Template) -> Backend:
+def _build_backend(args: argparse.Namespace, template: Template,
+                   clients: contextlib.ExitStack) -> Backend:
+    """The mock or the HTTP backend; ``clients`` closes the HTTP backend when it exits."""
     if args.lm_mock:
         return MockBackend.from_fixture(args.lm_mock, template)
     endpoint = args.lm_endpoint or os.environ.get(ENV_LM_ENDPOINT)
@@ -209,17 +212,23 @@ def _build_backend(args: argparse.Namespace, template: Template) -> Backend:
         raise UsageError(
             f"no backend: pass --lm-mock or --lm-endpoint (or set ${ENV_LM_ENDPOINT})"
         )
-    return HTTPBackend(
+    return clients.enter_context(contextlib.closing(HTTPBackend(
         endpoint,
         token=os.environ.get(ENV_LM_TOKEN),
         max_in_flight=args.parallelism,
-    )
+    )))
 
 
-def _build_embedder(args: argparse.Namespace) -> Optional[Embedder]:
-    """The remote embedder, if an endpoint is set; ``Resolver`` defaults otherwise."""
+def _build_embedder(args: argparse.Namespace,
+                    clients: contextlib.ExitStack) -> Optional[Embedder]:
+    """The remote embedder, if an endpoint is set, closed when ``clients`` exits.
+
+    Without an endpoint it is ``None``, and ``Resolver`` picks its default.
+    """
     endpoint = args.embed_endpoint or os.environ.get(ENV_EMBED_ENDPOINT)
-    return RemoteEmbedder(endpoint) if endpoint else None
+    if not endpoint:
+        return None
+    return clients.enter_context(contextlib.closing(RemoteEmbedder(endpoint)))
 
 
 def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
@@ -329,27 +338,28 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     train = load_corpus(args.train)
     test = load_corpus(args.corpus)
     configs = [_run_config(args, seed) for seed in seeds]
-    backend = _build_backend(args, configs[0].template)
-    embedder = _build_embedder(args)
     runs = []
-    for seed, config in zip(seeds, configs):
-        sample = sample_kshot(train, args.k, seed)
-        resolver = Resolver(config, sample, backend, embedder=embedder)
-        result = resolver.resolve_split(test)
-        logger.info("seed %d: %d requests", seed, result.request_count)
-        if args.manifest:
-            write_manifest(
-                result, config, sample,
-                _seeded_path(args.manifest, seed, multi),
-                split_name=test.split_name,
-            )
-        if args.predictions:
-            _seeded_path(args.predictions, seed, multi).write_text(
-                json.dumps(result.predictions, sort_keys=True, indent=2,
-                           ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
-        runs.append((seed, result))
+    with contextlib.ExitStack() as clients:
+        backend = _build_backend(args, configs[0].template, clients)
+        embedder = _build_embedder(args, clients)
+        for seed, config in zip(seeds, configs):
+            sample = sample_kshot(train, args.k, seed)
+            resolver = Resolver(config, sample, backend, embedder=embedder)
+            result = resolver.resolve_split(test)
+            logger.info("seed %d: %d requests", seed, result.request_count)
+            if args.manifest:
+                write_manifest(
+                    result, config, sample,
+                    _seeded_path(args.manifest, seed, multi),
+                    split_name=test.split_name,
+                )
+            if args.predictions:
+                _seeded_path(args.predictions, seed, multi).write_text(
+                    json.dumps(result.predictions, sort_keys=True, indent=2,
+                               ensure_ascii=False) + "\n",
+                    encoding="utf-8",
+                )
+            runs.append((seed, result))
     scored = [(seed, r.report) for seed, r in runs if r.report is not None]
     if multi:
         payload: dict = {
@@ -408,16 +418,17 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     docs = load_unlabeled_docs(args.unlabeled)
     train = load_corpus(args.train)
     config = _run_config(args, args.seed)
-    backend = _build_backend(args, config.template)
-    sample = sample_kshot(train, args.k, args.seed)
-    resolver = Resolver(config, sample, backend, embedder=_build_embedder(args))
     drop_log = DropLog()
-    records = generate_pseudo_labels(
-        docs, resolver, args.count, rules,
-        tokenizer=WordTokenizer(),
-        drop_log=drop_log,
-        checkpoint_path=args.checkpoint,
-    )
+    with contextlib.ExitStack() as clients:
+        backend = _build_backend(args, config.template, clients)
+        sample = sample_kshot(train, args.k, args.seed)
+        resolver = Resolver(config, sample, backend, embedder=_build_embedder(args, clients))
+        records = generate_pseudo_labels(
+            docs, resolver, args.count, rules,
+            tokenizer=WordTokenizer(),
+            drop_log=drop_log,
+            checkpoint_path=args.checkpoint,
+        )
     export_records(records, args.out, args.format)
     if args.drops:
         Path(args.drops).write_text(

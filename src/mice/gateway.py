@@ -27,7 +27,7 @@ import ssl
 import threading
 import time
 import urllib.parse
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -499,7 +499,8 @@ class _JSONTransport:
     ``endpoint`` must be an ``http`` or ``https`` URL with a host, and a
     space or control character in its host or path, or a line break in
     ``token``, would break the request head; either raises ``ValueError`` at
-    construction. Each request is one write.
+    construction, as does a ``max_in_flight`` below 1 or a ``timeout`` that
+    is not positive. Each request is one write.
     ``_read_reply`` skips 1xx replies and frames a body by chunked transfer
     coding, else ``Content-Length``, else the connection's end; 204 and 304
     have none. Transport errors, misframed replies and 5xx responses are
@@ -517,6 +518,9 @@ class _JSONTransport:
 
     def __init__(self, label: str, endpoint: str, token: Optional[str], timeout: float,
                  sleep: Callable[[float], None], max_in_flight: int = 8):
+        if max_in_flight < 1 or not timeout > 0:
+            raise ValueError(f"{label} needs max_in_flight >= 1 and a positive timeout, "
+                             f"got {max_in_flight} and {timeout}")
         url = urllib.parse.urlsplit(endpoint.rstrip("/"))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"{label} endpoint is not an http:// or https:// URL "
@@ -687,18 +691,22 @@ class RequestPool:
     ) -> Callable[[], list[Generation]]:
         """Queue every request, duplicates included; return the step that waits.
 
-        The wait step returns the generations by position, as
-        ``complete_many`` does, and raises the first failure in the order
-        the requests were queued. Once a request of the batch has failed,
-        its requests that have not started are not sent.
+        The wait step blocks once for the whole batch, not once per request.
+        It returns the generations by position, as ``complete_many`` does,
+        or raises the first failure in the order the requests were queued,
+        without waiting for the requests queued after that one. Once a
+        request of the batch has failed, its requests that have not started
+        are not sent.
         """
         failed = threading.Event()
 
-        def send(prompt: str, params: DecodeParams) -> Generation:
+        def send(prompt: str, params: DecodeParams) -> Optional[Generation]:
             # A batch stops at its first failure, as a serial loop would;
-            # requests already sent still finish.
+            # requests already sent still finish. A request not sent is not
+            # a failure: it may be queued before the one that failed, whose
+            # error the wait step must raise. Its None is never returned.
             if failed.is_set():
-                raise CancelledError
+                return None
             try:
                 return self._backend.complete(prompt, params)
             except BaseException:
@@ -707,10 +715,14 @@ class RequestPool:
 
         futures = [self._executor.submit(send, prompt, params) for prompt, params in requests]
 
-        def wait() -> list[Generation]:
+        def finished() -> list[Generation]:
+            # One sleep for the batch: a wait per future would wake this
+            # thread once per reply. After a failure, result() still waits
+            # for the unfinished requests queued before it, and no others.
+            wait(futures, return_when=FIRST_EXCEPTION)
             return [future.result() for future in futures]
 
-        return wait
+        return finished
 
 
 def complete_many(
@@ -725,7 +737,9 @@ def complete_many(
     indexed by position regardless of completion order, so downstream
     aggregation never depends on thread scheduling. A single request, or a
     ``parallelism`` of 1, is sent on the calling thread; otherwise the
-    batch goes through a ``RequestPool`` of its own.
+    batch goes through a ``RequestPool`` of its own: the calling thread
+    blocks once for the batch, and at its first failure the requests not
+    yet started are dropped and those in flight finish before it is raised.
     """
     if parallelism <= 1 or len(requests) <= 1:
         # Not a one-worker pool: its thread hand-offs made 10,000 draws ~1.7x slower.

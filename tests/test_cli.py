@@ -1,5 +1,6 @@
 """Command-line workflows: exit codes, outputs, files."""
 import functools
+import gc
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from mice.cli import run
 from mice.corpus import load_corpus, sample_kshot
 from mice.distill import load_records
 from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
+
+from support import Reply
 
 TRAIN = str(FIXTURES / "synthetic_train.jsonl")
 CLI_TEST = str(FIXTURES / "cli_test.jsonl")
@@ -510,6 +514,27 @@ class TestDistill:
         assert code == 2
         assert "backend error" in capsys.readouterr().err
         assert slept == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("command", ["resolve", "distill"])
+def test_http_clients_are_closed_when_the_command_ends(serve, tmp_path, command):
+    lm = serve(lambda call: 200, {"choices": [{"text": "water | salt"}]})
+    embed = serve(lambda call: Reply(payload={
+        "vectors": [[1.0, len(text) % 7] for text in call["json"]["texts"]]}))
+    args = {
+        "resolve": ["resolve", "--corpus", CLI_TEST, "--seed", "1"],
+        "distill": ["distill", "--unlabeled", UNLABELED, "--count", "1", "--seed", "1",
+                    "--out", str(tmp_path / "records.jsonl")],
+    }[command] + ["--train", TRAIN, "--k", "4", "--parallelism", "2",
+                  "--lm-endpoint", lm.url, "--embed-endpoint", embed.url]
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+        gc.collect()
+    assert code == 0
+    assert lm.connections >= 1 and embed.connections >= 1
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def checkout_env():

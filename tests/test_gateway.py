@@ -576,6 +576,24 @@ class TestTransport:
             with pytest.raises(ValueError, match="space or control character"):
                 make(endpoint, token=token)
 
+    @pytest.mark.parametrize(
+        "make, label, kwargs",
+        [(HTTPBackend, "completion", {"max_in_flight": 0}),
+         (HTTPBackend, "completion", {"timeout": 0}),
+         (HTTPBackend, "completion", {"timeout": -1}),
+         (RemoteEmbedder, "embedding request", {"timeout": 0}),
+         (RemoteEmbedder, "embedding request", {"timeout": -1})],
+        ids=["completion-no-connections", "completion-zero-timeout",
+             "completion-negative-timeout", "embedding-zero-timeout",
+             "embedding-negative-timeout"],
+    )
+    def test_unusable_settings_are_rejected_at_construction(self, make, label, kwargs):
+        # A zero cap would block the first request forever; a timeout that
+        # is not positive fails at request time, or makes the socket
+        # non-blocking.
+        with pytest.raises(ValueError, match=f"^{label} needs max_in_flight >= 1"):
+            make("http://127.0.0.1:9/v1", **kwargs)
+
 
 class TestTLS:
     def test_untrusted_certificate_fails_at_once(self, serve, monkeypatch):
@@ -683,3 +701,87 @@ class TestRequestPool:
             assert [g.text for g in after()] == ["next"]
         assert calls == ["bad 1", "next"]
 
+
+    def test_the_waiting_thread_blocks_once_per_batch(self):
+        class OneMillisecond:
+            def complete(self, prompt, params):
+                time.sleep(0.001)
+                return Generation(text=prompt)
+
+        caller = threading.get_ident()
+        waits = []
+        condition_wait = threading.Condition.wait
+
+        def counted(self, timeout=None):
+            if threading.get_ident() == caller:
+                waits.append(timeout)
+            return condition_wait(self, timeout)
+
+        batch = [(f"p{i}", DecodeParams.greedy()) for i in range(32)]
+        with RequestPool(OneMillisecond(), 4) as pool:
+            finished = pool.submit(batch)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(threading.Condition, "wait", counted)
+                generations = finished()
+        assert [g.text for g in generations] == [f"p{i}" for i in range(32)]
+        # Zero only if all 32 replies came before the wait began; a wait per
+        # request would sleep and wake about once per reply.
+        assert len(waits) <= 1
+
+    def test_a_failure_does_not_wait_for_the_requests_in_flight(self):
+        held_started, released = threading.Event(), threading.Event()
+        outcomes = []
+
+        class HoldsOne:
+            def complete(self, prompt, params):
+                if prompt == "held":
+                    held_started.set()
+                    outcomes.append("released" if released.wait(5) else "timed out")
+                    return Generation(text=prompt)
+                held_started.wait(5)
+                raise BackendError(f"{prompt} failed")
+
+        greedy = DecodeParams.greedy()
+        with RequestPool(HoldsOne(), 2) as pool:
+            finished = pool.submit([("bad", greedy), ("held", greedy)])
+            with pytest.raises(BackendError, match="bad failed"):
+                finished()
+            released.set()
+        assert outcomes == ["released"]
+
+    def test_the_first_failure_in_queue_order_is_raised(self):
+        second_failed = threading.Event()
+
+        class LaterFailsFirst:
+            def complete(self, prompt, params):
+                if prompt == "second":
+                    second_failed.set()
+                else:
+                    second_failed.wait(5)
+                raise BackendError(f"{prompt} failed")
+
+        greedy = DecodeParams.greedy()
+        with RequestPool(LaterFailsFirst(), 2) as pool:
+            finished = pool.submit([("first", greedy), ("second", greedy)])
+            with pytest.raises(BackendError, match="first failed"):
+                finished()
+        assert second_failed.is_set()
+
+    def test_a_request_left_unsent_is_not_the_failure_raised(self):
+        # A worker can take a request and be descheduled before it looks at
+        # the batch's failure flag; by then a request queued after it may
+        # have failed. The request it leaves unsent must not be raised.
+        class Fails:
+            def complete(self, prompt, params):
+                raise BackendError(f"{prompt} failed")
+
+        greedy = DecodeParams.greedy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RequestPool(Fails(), 4) as pool:
+                for _ in range(300):
+                    with pytest.raises(BackendError, match=r"^r\d failed$"):
+                        pool.submit([(f"r{i}", greedy) for i in range(8)])()
+        finally:
+            sys.setswitchinterval(interval)
