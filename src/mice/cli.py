@@ -30,7 +30,6 @@ from .gateway import (
     HTTPBackend,
     MockBackend,
     RemoteEmbedder,
-    WordTokenizer,
 )
 from .gating import Embedder
 from .metrics import micro_f1
@@ -168,13 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_distill = sub.add_parser("distill", help="export teacher pseudo-labels")
     p_distill.add_argument("--unlabeled", required=True, help="unlabeled docs JSONL")
     p_distill.add_argument("--count", type=int, required=True,
-                           help="number of anaphors to pseudo-label")
+                           help="number of anaphors to pseudo-label (at least 1)")
     p_distill.add_argument("--out", required=True, help="output path")
     p_distill.add_argument("--format", choices=["jsonl", "conll"], default="jsonl")
     p_distill.add_argument("--rules", help="detection rule file")
     p_distill.add_argument("--drops", help="write drop log JSON here")
     p_distill.add_argument("--checkpoint",
-                           help="write completed records here on backend failure")
+                           help="write completed records here if an anaphor fails on "
+                                "a backend error or on the prompt budget")
     p_distill.add_argument("--train", required=True, help="training corpus JSONL")
     p_distill.add_argument("--k", type=int, required=True)
     p_distill.add_argument("--seed", type=int, default=0)
@@ -423,12 +423,8 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         backend = _build_backend(args, config.template, clients)
         sample = sample_kshot(train, args.k, args.seed)
         resolver = Resolver(config, sample, backend, embedder=_build_embedder(args, clients))
-        records = generate_pseudo_labels(
-            docs, resolver, args.count, rules,
-            tokenizer=WordTokenizer(),
-            drop_log=drop_log,
-            checkpoint_path=args.checkpoint,
-        )
+        records = generate_pseudo_labels(docs, resolver.iter_results, args.count, rules,
+                                         drop_log=drop_log, checkpoint_path=args.checkpoint)
     export_records(records, args.out, args.format)
     if args.drops:
         Path(args.drops).write_text(

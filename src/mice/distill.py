@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from .corpus import CorpusError, Example, Span, from_json, to_json
 from .detector import RuleSet, detect_examples
 from .gateway import Tokenizer, WordTokenizer
+from .pipeline import ResolutionResult
 
 logger = logging.getLogger(__name__)
 
@@ -27,10 +29,6 @@ MARKER_END = "[Ana-end]"
 TAG_BEGIN = "B"
 TAG_INSIDE = "I"
 TAG_OUTSIDE = "O"
-
-
-class Teacher(Protocol):
-    def predict(self, example: Example) -> list[tuple[str, float]]: ...
 
 
 @dataclass(frozen=True)
@@ -207,30 +205,36 @@ def load_unlabeled_docs(path: str | Path) -> list[tuple[str, str]]:
 
 def generate_pseudo_labels(
     docs: Sequence[tuple[str, str]],
-    teacher: Teacher,
+    resolve: Callable[[Sequence[Example]], Generator[ResolutionResult | Exception, None, None]],
     m: int,
     rules: RuleSet,
     tokenizer: Optional[Tokenizer] = None,
     drop_log: Optional[DropLog] = None,
     checkpoint_path: Optional[str | Path] = None,
 ) -> list[PseudoLabeledRecord]:
-    """Detect anaphors, resolve each through the teacher, align, and tag.
+    """Detect anaphors in document order; resolve, align and tag the first ``m``.
 
-    Anaphors are taken in document order across ``docs``; the first ``m``
-    become records. A backend failure mid-run re-raises after writing the
-    completed records to ``checkpoint_path`` (if given).
+    ``resolve``, such as ``Resolver.iter_results``, yields each anaphor's
+    result or the error that failed it. The first error is raised after the
+    completed records are written to ``checkpoint_path`` (if given).
     """
     tokenizer = tokenizer or WordTokenizer()
     pending: list[Example] = []
     for doc_id, text in docs:
         pending.extend(detect_examples(doc_id, text, rules))
+    if m < 1:
+        raise ValueError(f"requested {m} records; the count must be at least 1")
     if m > len(pending):
         raise ValueError(f"requested {m} records but only {len(pending)} anaphors detected")
     records: list[PseudoLabeledRecord] = []
     try:
-        for example in pending[:m]:
-            predictions = teacher.predict(example)
-            records.append(build_record(example, predictions, tokenizer, drop_log))
+        # Closed at once, so its queued requests are cancelled before the checkpoint.
+        with closing(resolve(pending[:m])) as results:
+            for result, example in zip(results, pending):
+                if isinstance(result, Exception):
+                    raise result
+                predictions = [(c.surface, c.combined_prob) for c in result.final]
+                records.append(build_record(example, predictions, tokenizer, drop_log))
     except Exception:
         if checkpoint_path is not None and records:
             export_records(records, checkpoint_path, "jsonl")

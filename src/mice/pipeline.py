@@ -10,8 +10,9 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, pairwise
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence
 
 from .combine import (
     CandidateAntecedent,
@@ -185,15 +186,25 @@ class Resolver:
         return finish(complete_many(self.backend, requests, self.config.parallelism))
 
     def resolve_split(self, split: Dataset) -> SplitResult:
-        """Resolve every example; failures degrade to empty predictions.
-
-        The split shares one request pool, and example i+1 is planned, its
-        requests queued, before example i is finished; so the backend works
-        while this thread builds prompts and combines answers. Results,
-        warnings and failures still come in split order.
-        """
+        """Resolve every example; failures degrade to empty predictions."""
         results: list[ResolutionResult] = []
         backend_failures = 0
+        for result, example in zip(self.iter_results(split), split, strict=True):
+            if isinstance(result, Exception):
+                logger.warning("resolution failed for %s: %s", example.key, result)
+                backend_failures += isinstance(result, BackendError)
+                result = _failed(example.key, _gold(example), str(result))
+            results.append(result)
+        return replace(_assemble_split_result(results), backend_failures=backend_failures)
+
+    def iter_results(
+        self, examples: Iterable[Example]
+    ) -> Generator[ResolutionResult | Exception, None, None]:
+        """Yield each example's result, or the ``PromptBudgetError`` or
+        ``BackendError`` that failed it, in order. Example i+1 is planned and
+        its requests queued in one shared pool before example i is finished.
+        Closing the loop early cancels the requests that have not started.
+        """
         with RequestPool(self.backend, self.config.parallelism) as pool:
 
             def start(example: Example) -> Callable[[], ResolutionResult] | Exception:
@@ -204,19 +215,13 @@ class Resolver:
                 wait = pool.submit(requests)
                 return lambda: finish(wait())
 
-            started = map(start, split)
-            upcoming = next(started, None)
-            for example in split:
-                finish, upcoming = upcoming, next(started, None)
+            # pairwise starts example i+1 before it hands out example i.
+            for started, _ in pairwise(chain(map(start, examples), [None])):
                 try:
-                    if isinstance(finish, Exception):
-                        raise finish
-                    results.append(finish())
+                    outcome = started if isinstance(started, Exception) else started()
                 except (PromptBudgetError, BackendError) as exc:
-                    logger.warning("resolution failed for %s: %s", example.key, exc)
-                    results.append(_failed(example.key, _gold(example), str(exc)))
-                    backend_failures += isinstance(exc, BackendError)
-        return replace(_assemble_split_result(results), backend_failures=backend_failures)
+                    outcome = exc
+                yield outcome
 
     def _plan(self, test: Example) -> tuple[
         list[tuple[str, DecodeParams]], Callable[[Sequence[Generation]], ResolutionResult]
@@ -271,11 +276,6 @@ class Resolver:
             test.key, _gold(test), prompt_ids, gating, [generations[s] for s in slots],
             config, self.tokenizer,
         )
-
-    def predict(self, example: Example) -> list[tuple[str, float]]:
-        """Teacher interface for distillation: surfaces with confidences."""
-        result = self.resolve_one(example)
-        return [(c.surface, c.combined_prob) for c in result.final]
 
 
 def _gold(example: Example) -> Optional[tuple[str, ...]]:

@@ -95,14 +95,16 @@ def test_one_thread_pool():
 
 def test_one_request_plan():
     # The resolver plans each example's requests, kate-plus's seeded draws
-    # too, and sends them through the split's pool or, for one example,
-    # complete_many; combine_kate_plus is the library form of the same plan.
+    # too, and sends them through the pool of its one streamed loop,
+    # iter_results, which resolve_split and mice distill share, or, for one
+    # example, complete_many; combine_kate_plus is the library form of the
+    # same plan.
     assert uses_by_module(
         {"RequestPool", "complete_many", "combine_kate_plus"}, calls_only=True
     ) == {
         "combine.py": {("combine_kate_plus", "complete_many")},
         "gateway.py": {("complete_many", "RequestPool")},
-        "pipeline.py": {("resolve_split", "RequestPool"), ("resolve_one", "complete_many")},
+        "pipeline.py": {("iter_results", "RequestPool"), ("resolve_one", "complete_many")},
     }
 
 

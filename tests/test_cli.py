@@ -1,6 +1,7 @@
 """Command-line workflows: exit codes, outputs, files."""
 import functools
 import gc
+import hashlib
 import json
 import os
 import re
@@ -500,6 +501,37 @@ class TestDistill:
         )
         assert code == 1
         assert "anaphors detected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_nonpositive_count_is_exit_one(self, tmp_path, capsys, count):
+        args = self.distill_args(tmp_path)
+        args[args.index("--count") + 1] = count
+        assert run(args) == 1
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
+    def test_same_files_at_any_parallelism(self, tmp_path):
+        # Digests of the Quickstart's distill files: neither the number of
+        # workers nor the loop that resolves the anaphors may change a byte.
+        expected = {
+            "records.jsonl": "2bc055c67389811e1c952f975739a2561e2957224a223bdae7c5e06e351ee980",
+            "records.conll": "ea0c537b0766bd07fce803690de0b4a56a9acd26cf8378e3601f601a7dab4317",
+            "drops.json": "22bfdcef84d2058d8880ef01d45c990d57c7a10229134da0f4ef6fc953d2d10a",
+        }
+        for parallelism in ("1", "8"):
+            out = tmp_path / parallelism
+            out.mkdir()
+            for fmt in ("jsonl", "conll"):
+                assert run([
+                    "distill", "--unlabeled", UNLABELED, "--count", "3",
+                    "--train", TRAIN, "--k", "4", "--seed", "1", "--lm-mock", SCRIPTED,
+                    "--format", fmt, "--out", str(out / f"records.{fmt}"),
+                    "--drops", str(out / "drops.json"), "--parallelism", parallelism,
+                ]) == 0
+            digests = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected
+            }
+            assert digests == expected, parallelism
 
     def test_backend_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
         slept = []

@@ -1,10 +1,14 @@
 """Pseudo-label export: alignment, BIO tagging, and serialization."""
 import json
+import threading
+import time
 
 import pytest
+from conftest import FIXTURES
 
-from mice.corpus import CorpusError, Example, Span, from_json, to_json
-from mice.detector import RuleSet
+from mice.combine import CandidateAntecedent
+from mice.corpus import CorpusError, Example, Span, from_json, load_corpus, sample_kshot, to_json
+from mice.detector import RuleSet, detect_examples
 from mice.distill import (
     MARKER_END,
     MARKER_START,
@@ -17,7 +21,8 @@ from mice.distill import (
     load_records,
     load_unlabeled_docs,
 )
-from mice.gateway import WordTokenizer
+from mice.gateway import BackendError, MockBackend, WordTokenizer
+from mice.pipeline import ResolutionResult, Resolver, RunConfig
 
 TOK = WordTokenizer()
 
@@ -305,25 +310,43 @@ class TestLoadUnlabeledDocs:
             load_unlabeled_docs(path)
 
     def test_fixture_corpus_loads(self):
-        from conftest import FIXTURES
-
         docs = load_unlabeled_docs(FIXTURES / "unlabeled_docs.jsonl")
         assert len(docs) == 3
         assert all(isinstance(d, str) and isinstance(t, str) for d, t in docs)
 
 
-class CountingTeacher:
-    """Returns a fixed prediction; can be armed to fail on the nth call."""
+def resolved(example, surface):
+    """A result whose one final antecedent is ``surface``, at confidence 0.9."""
+    final = (CandidateAntecedent(surface, surface.split()[0], 0.9),)
+    return ResolutionResult(example.key, None, (0,), None, (), final, final, 1)
 
-    def __init__(self, fail_on=None):
+
+class CountingResolver:
+    """A stand-in for ``Resolver.iter_results`` that names one fixed surface.
+
+    It can be armed to yield a failure for the nth example, and records the
+    examples it was given, those it reached and whether it was closed.
+    """
+
+    def __init__(self, fail_on=None, surface="water"):
+        self.given = None
         self.calls = []
+        self.closed = False
         self._fail_on = fail_on
+        self._surface = surface
 
-    def predict(self, example):
-        self.calls.append(example.key)
-        if self._fail_on is not None and len(self.calls) == self._fail_on:
-            raise RuntimeError("backend down")
-        return [("water", 0.9)]
+    def __call__(self, examples):
+        self.given = [example.key for example in examples]
+        try:
+            for example in examples:
+                self.calls.append(example.key)
+                if self._fail_on is not None and len(self.calls) == self._fail_on:
+                    yield RuntimeError("backend down")
+                else:
+                    yield resolved(example, self._surface)
+        except GeneratorExit:
+            self.closed = True
+            raise
 
 
 RULES = RuleSet(patterns=(r"the mixture",))
@@ -336,38 +359,90 @@ DOCS = [
 
 class TestGeneratePseudoLabels:
     def test_document_order_and_limit(self):
-        teacher = CountingTeacher()
-        records = generate_pseudo_labels(DOCS, teacher, m=2, rules=RULES)
+        resolve = CountingResolver()
+        records = generate_pseudo_labels(DOCS, resolve, m=2, rules=RULES)
         assert len(records) == 2
         assert [r.doc_id for r in records] == ["d1", "d2"]
-        assert teacher.calls == ["d1:20:31", "d2:22:33"]
+        assert resolve.calls == ["d1:20:31", "d2:22:33"]
+        assert resolve.given == resolve.calls
 
     def test_requesting_too_many_rejected(self):
         with pytest.raises(ValueError, match="only 3 anaphors"):
-            generate_pseudo_labels(DOCS, CountingTeacher(), m=4, rules=RULES)
+            generate_pseudo_labels(DOCS, CountingResolver(), m=4, rules=RULES)
+
+    @pytest.mark.parametrize("m", [-1, 0])
+    def test_requesting_fewer_than_one_rejected(self, m):
+        resolve = CountingResolver()
+        with pytest.raises(ValueError, match="at least 1"):
+            generate_pseudo_labels(DOCS, resolve, m=m, rules=RULES)
+        assert resolve.given is None
 
     def test_checkpoint_written_on_failure(self, tmp_path):
         checkpoint = tmp_path / "partial.jsonl"
-        teacher = CountingTeacher(fail_on=2)
+        resolve = CountingResolver(fail_on=2)
         with pytest.raises(RuntimeError, match="backend down"):
             generate_pseudo_labels(
-                DOCS, teacher, m=3, rules=RULES, checkpoint_path=checkpoint
+                DOCS, resolve, m=3, rules=RULES, checkpoint_path=checkpoint
             )
         saved = load_records(checkpoint)
         assert len(saved) == 1
         assert saved[0].doc_id == "d1"
+        # The loop is closed at its failure; the third anaphor is never reached.
+        assert resolve.calls == ["d1:20:31", "d2:22:33"]
+        assert resolve.closed
 
     def test_failure_without_checkpoint_path_just_raises(self, tmp_path):
         with pytest.raises(RuntimeError):
-            generate_pseudo_labels(DOCS, CountingTeacher(fail_on=1), m=3, rules=RULES)
+            generate_pseudo_labels(DOCS, CountingResolver(fail_on=1), m=3, rules=RULES)
         assert list(tmp_path.iterdir()) == []
 
     def test_drop_log_passed_through(self):
         log = DropLog()
-
-        class NoAlignTeacher:
-            def predict(self, example):
-                return [("xenon", 0.9)]
-
-        generate_pseudo_labels(DOCS, NoAlignTeacher(), m=1, rules=RULES, drop_log=log)
+        generate_pseudo_labels(
+            DOCS, CountingResolver(surface="xenon"), m=1, rules=RULES, drop_log=log
+        )
         assert [e["surface"] for e in log.entries] == ["xenon"]
+
+    def test_a_failure_closes_the_resolvers_loop(self, tmp_path):
+        # Three anaphors of ten requests each, at four workers. Example 1's
+        # first request fails once example 2's requests are being sent, and
+        # each of those takes 0.1 s.
+        docs = [
+            ("a", "Add water now. Stir the mixture gently."),
+            ("b", "Pour oil first. Warm the mixture slowly."),
+            ("c", "Take salt here. Shake the mixture well."),
+        ]
+        scripted = MockBackend.from_fixture(FIXTURES / "scripted_mock.json")
+        sample = sample_kshot(load_corpus(FIXTURES / "synthetic_train.jsonl"), 4, seed=1)
+        resolver = Resolver(RunConfig(parallelism=4), sample, scripted)
+        second, last = (detect_examples(d, text, RULES)[0] for d, text in docs[1:])
+        failing = resolver._plan(second)[0][0][0]
+        queued = len(resolver._plan(last)[0])
+        sending = threading.Event()
+        sent = []
+
+        class FailingSecond:
+            def complete(self, prompt, params):
+                if prompt == failing:
+                    sending.wait(5)
+                    raise BackendError("backend down")
+                if last.text in prompt:
+                    sent.append(prompt)
+                    sending.set()
+                    time.sleep(0.1)
+                return scripted.complete(prompt, params)
+
+        resolver.backend = FailingSecond()
+        checkpoint = tmp_path / "partial.jsonl"
+        threads = threading.active_count()
+        with pytest.raises(BackendError, match="backend down"):
+            generate_pseudo_labels(
+                docs, resolver.iter_results, m=3, rules=RULES, checkpoint_path=checkpoint
+            )
+        assert threading.active_count() == threads
+        assert [r.doc_id for r in load_records(checkpoint)] == ["a"]
+        # Example 2's requests that had not started when the loop was closed
+        # never reach the backend, then or later.
+        reached = len(sent)
+        time.sleep(0.5)
+        assert 1 <= len(sent) == reached < queued

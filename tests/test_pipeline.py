@@ -543,19 +543,47 @@ class TestStreamedSplit:
         assert sent[2] == 0
 
 
-class TestTeacherInterface:
-    def test_predict_returns_scored_surfaces(self):
+class TestIterResults:
+    """The one streamed loop that resolve_split and mice distill consume."""
+
+    def test_yields_scored_surfaces(self):
         resolver = Resolver(RunConfig(), SAMPLE, echo_backend())
         example = TEST3[0]
-        predictions = resolver.predict(example)
+        [result] = resolver.iter_results([example])
+        predictions = [(c.surface, c.combined_prob) for c in result.final]
         assert sorted(s for s, _ in predictions) == sorted(example.gold_surfaces())
         assert all(p == pytest.approx(1.0) for _, p in predictions)
 
-    def test_predict_feeds_distillation(self):
+    def test_results_feed_distillation(self):
         resolver = Resolver(RunConfig(), SAMPLE, echo_backend())
         example = TEST3[0]
-        record = build_record(example, resolver.predict(example), WordTokenizer())
+        [result] = resolver.iter_results([example])
+        predictions = [(c.surface, c.combined_prob) for c in result.final]
+        record = build_record(example, predictions, WordTokenizer())
         assert record.tags.count("B") == len(example.gold_surfaces())
+
+    @pytest.mark.parametrize("combiner", list(Combiner))
+    def test_resolve_split_collects_the_loop(self, combiner):
+        resolver, split = streaming_setup(combiner)
+        oracle = resolver.backend
+        poison = split.examples[2].text
+
+        class FailingMiddle:
+            def complete(self, prompt, params):
+                if poison in prompt:
+                    raise BackendError("boom")
+                return oracle.complete(prompt, params)
+
+        resolver.backend = FailingMiddle()
+        streamed = list(resolver.iter_results(split))
+        collected = resolver.resolve_split(split)
+        assert len(streamed) == len(collected.results) == len(split)
+        assert isinstance(streamed[2], BackendError) and str(streamed[2]) == "boom"
+        failed = collected.results[2]
+        assert (failed.key, failed.error, failed.final) == (split.examples[2].key, "boom", ())
+        assert streamed[:2] + streamed[3:] == list(collected.results[:2] + collected.results[3:])
+        assert [r.error for r in streamed[:2] + streamed[3:]] == [None] * (len(split) - 1)
+        assert collected.backend_failures == 1
 
 
 class TestManifest:
