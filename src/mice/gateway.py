@@ -5,21 +5,22 @@ offline runs, and an HTTP client speaking a completion wire protocol. Both
 return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
 the model again. Backend calls fan out only through ``RequestPool``, which
-the resolver shares across a split, and ``complete_many``, which sends one
-batch and waits; both send exactly the requests they are given. The HTTP
-completion client and the remote embedding client send their requests
-through one transport with one retry policy; no other module touches the
-network. The transport speaks HTTP/1.1 itself on ``socket`` and ``ssl``: each
-client keeps at most ``max_in_flight`` keep-alive connections to its
-endpoint, sends each request in one write, verifies TLS with the default
-``ssl`` context, follows no redirects, and reads no proxy variables or
-``~/.netrc``.
+the resolver shares across a split and whose threads read one queue, and
+``complete_many``, which sends one batch and waits; both send exactly the
+requests they are given. The HTTP completion client and the remote
+embedding client send their requests through one transport with one retry
+policy; no other module touches the network. The transport speaks HTTP/1.1
+itself on ``socket`` and ``ssl``: each client keeps at most
+``max_in_flight`` keep-alive connections to its endpoint, sends each
+request in one write, verifies TLS with the default ``ssl`` context,
+follows no redirects, and reads no proxy variables or ``~/.netrc``.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
+import queue
 import re
 import select
 import socket
@@ -27,7 +28,6 @@ import ssl
 import threading
 import time
 import urllib.parse
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -562,7 +562,7 @@ class _JSONTransport:
                 if 200 <= status < 300:
                     try:
                         return decode(json.loads(data))
-                    except (BackendError, KeyError, TypeError, ValueError) as exc:
+                    except (BackendError, KeyError, TypeError, ValueError, RecursionError) as exc:
                         raise BackendError(
                             f"{self._label} returned HTTP {status} with unusable body: {exc}",
                             attempts=attempt, status=status,
@@ -666,63 +666,94 @@ class RemoteEmbedder:
         self._transport.close()
 
 
+class _Batch:
+    """One submitted batch, decided once its first ``stop`` slots are filled: all of
+    them, or those up to its lowest failed one. ``decided`` is held until then."""
+
+    PENDING = object()  # the slot of a request that has not finished
+
+    def __init__(self, size: int):
+        self.slots, self.filled, self.stop, self.error = [self.PENDING] * size, 0, size, None
+        self.lock, self.decided = threading.Lock(), threading.Lock()
+        if size:
+            self.decided.acquire()
+
+    def finish(self, index: int, generation, error: Optional[BaseException]) -> None:
+        with self.lock:
+            if index >= self.stop:
+                return  # queued after the failure raised: it changes nothing
+            self.slots[index] = generation
+            if error is not None:
+                self.stop, self.error = index + 1, error
+            while self.filled < self.stop and self.slots[self.filled] is not self.PENDING:
+                self.filled += 1
+            if self.filled == self.stop:
+                self.decided.release()
+
+    def wait(self) -> list[Generation]:
+        with self.decided:
+            if self.error is not None:
+                raise self.error
+            return self.slots
+
+
 class RequestPool:
     """``parallelism`` worker threads that send batches of requests to one backend.
 
-    ``submit`` queues a batch and returns at once; batches are sent in the
-    order they were submitted, so at most ``parallelism`` backend calls are
-    in flight however many batches are queued. Leaving the ``with`` block
-    waits for the workers to stop; if an exception is leaving it, requests
-    that have not started are cancelled first.
+    The workers take requests from one queue in submission order, and no
+    more start than requests have been queued. Leaving the ``with`` block
+    joins them once the queue is empty; if an exception is leaving it,
+    requests not yet started are not sent, and their batches fail with it.
     """
 
     def __init__(self, backend: Backend, parallelism: int):
         self._backend = backend
-        self._executor = ThreadPoolExecutor(max_workers=parallelism)
+        self._parallelism = parallelism
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers: list[threading.Thread] = []
+        self._cancel: Optional[BaseException] = None
 
     def __enter__(self) -> "RequestPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+        self._cancel = exc
+        for _ in self._workers:
+            self._queue.put(None)
+        for worker in self._workers:
+            worker.join()
+
+    def _work(self) -> None:
+        while (item := self._queue.get()) is not None:
+            batch, index, prompt, params = item
+            generation, error = None, self._cancel
+            # After a failure the batch's unstarted requests are not sent, as
+            # in a serial loop; one queued before the failure is no failure.
+            if batch.error is None and error is None:
+                try:
+                    generation = self._backend.complete(prompt, params)
+                except BaseException as exc:  # raised again by the wait step
+                    error = exc
+            batch.finish(index, generation, error)
 
     def submit(
         self, requests: Sequence[tuple[str, DecodeParams]]
     ) -> Callable[[], list[Generation]]:
         """Queue every request, duplicates included; return the step that waits.
 
-        The wait step blocks once for the whole batch, not once per request.
-        It returns the generations by position, as ``complete_many`` does,
-        or raises the first failure in the order the requests were queued,
-        without waiting for the requests queued after that one. Once a
-        request of the batch has failed, its requests that have not started
+        The wait step blocks once, until the batch is decided. It returns the
+        generations by position, as ``complete_many`` does, or raises the
+        first failure in queue order without waiting for the requests queued
+        after it. Once a request has failed, the batch's unstarted requests
         are not sent.
         """
-        failed = threading.Event()
-
-        def send(prompt: str, params: DecodeParams) -> Optional[Generation]:
-            # A batch stops at its first failure, as a serial loop would;
-            # requests already sent still finish. A request not sent is not
-            # a failure: it may be queued before the one that failed, whose
-            # error the wait step must raise. Its None is never returned.
-            if failed.is_set():
-                return None
-            try:
-                return self._backend.complete(prompt, params)
-            except BaseException:
-                failed.set()
-                raise
-
-        futures = [self._executor.submit(send, prompt, params) for prompt, params in requests]
-
-        def finished() -> list[Generation]:
-            # One sleep for the batch: a wait per future would wake this
-            # thread once per reply. After a failure, result() still waits
-            # for the unfinished requests queued before it, and no others.
-            wait(futures, return_when=FIRST_EXCEPTION)
-            return [future.result() for future in futures]
-
-        return finished
+        batch = _Batch(len(requests))
+        for index, (prompt, params) in enumerate(requests):
+            self._queue.put((batch, index, prompt, params))
+        for _ in range(min(self._parallelism - len(self._workers), len(requests))):
+            self._workers.append(threading.Thread(target=self._work, daemon=True))
+            self._workers[-1].start()
+        return batch.wait
 
 
 def complete_many(
@@ -737,12 +768,11 @@ def complete_many(
     indexed by position regardless of completion order, so downstream
     aggregation never depends on thread scheduling. A single request, or a
     ``parallelism`` of 1, is sent on the calling thread; otherwise the
-    batch goes through a ``RequestPool`` of its own: the calling thread
-    blocks once for the batch, and at its first failure the requests not
-    yet started are dropped and those in flight finish before it is raised.
+    batch goes through a ``RequestPool`` of its own, which finishes the
+    requests in flight and drops the rest before a failure is raised.
     """
     if parallelism <= 1 or len(requests) <= 1:
-        # Not a one-worker pool: its thread hand-offs made 10,000 draws ~1.7x slower.
+        # Not a one-worker pool: its thread hand-off made 10,000 mock draws ~1.1x slower.
         return [backend.complete(prompt, params) for prompt, params in requests]
     with RequestPool(backend, parallelism) as pool:
         return pool.submit(requests)()

@@ -86,10 +86,14 @@ def test_one_pooling_step_builds_candidates():
 
 
 def test_one_thread_pool():
-    # Backend calls fan out only through gateway.RequestPool, whose one
-    # executor caps the calls in flight at the run's parallelism.
-    assert uses_by_module({"ThreadPoolExecutor"}, calls_only=True) == {
-        "gateway.py": {("__init__", "ThreadPoolExecutor")},
+    # Backend calls fan out only through gateway.RequestPool, which starts
+    # at most the run's parallelism in worker threads and so caps the calls
+    # in flight; nothing else in the package starts a thread or an executor.
+    assert uses_by_module(
+        {"Thread", "Timer", "start_new_thread", "ThreadPoolExecutor", "ProcessPoolExecutor"},
+        calls_only=True,
+    ) == {
+        "gateway.py": {("submit", "Thread")},
     }
 
 

@@ -386,8 +386,9 @@ class TestHTTPBackend:
                 "tokens": ["water", "|"], "top_logprobs": [{"water": -0.1}]}}]},
             {"choices": [{"text": "water", "logprobs": {
                 "tokens": ["water"], "top_logprobs": [{"water": 0.5}]}}]},
+            b"[" * 100_000,
         ],
-        ids=["not-json", "fewer-maps-than-tokens", "positive-logprob"],
+        ids=["not-json", "fewer-maps-than-tokens", "positive-logprob", "nested-too-deep"],
     )
     def test_malformed_body_is_a_backend_error(self, serve, payload):
         # None of these bodies decodes for either client.
@@ -669,6 +670,23 @@ class TestCompleteMany:
         assert [g.text for g in serial] == [g.text for g in parallel]
 
 
+def outcome_within(step, timeout=5.0):
+    """What ``step()`` returns or raises, run on a thread; fails the test if it hangs."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(step())
+        except BaseException as exc:  # noqa: B036 - the outcome under test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"the wait step still blocks after {timeout} s"
+    return outcome[0]
+
+
 class TestRequestPool:
     def test_batches_come_back_by_position(self):
         backend = MockBackend(
@@ -710,19 +728,35 @@ class TestRequestPool:
 
         caller = threading.get_ident()
         waits = []
-        condition_wait = threading.Condition.wait
+        allocate = threading.Lock
 
-        def counted(self, timeout=None):
-            if threading.get_ident() == caller:
-                waits.append(timeout)
-            return condition_wait(self, timeout)
+        class CountedLock:
+            """A lock that records each time the calling thread finds it held and waits."""
+
+            def __init__(self):
+                self._lock = allocate()
+
+            def acquire(self, blocking=True, timeout=-1):
+                if self._lock.acquire(False):
+                    return True
+                if blocking and threading.get_ident() == caller:
+                    waits.append(timeout)
+                return self._lock.acquire(blocking, timeout)
+
+            def release(self):
+                self._lock.release()
+
+            __enter__ = acquire
+
+            def __exit__(self, *exc_info):
+                self.release()
 
         batch = [(f"p{i}", DecodeParams.greedy()) for i in range(32)]
         with RequestPool(OneMillisecond(), 4) as pool:
-            finished = pool.submit(batch)
+            pool.submit(batch[:4])()  # every worker is started before the count
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(threading.Condition, "wait", counted)
-                generations = finished()
+                patch.setattr(threading, "Lock", CountedLock)
+                generations = pool.submit(batch)()
         assert [g.text for g in generations] == [f"p{i}" for i in range(32)]
         # Zero only if all 32 replies came before the wait began; a wait per
         # request would sleep and wake about once per reply.
@@ -785,3 +819,67 @@ class TestRequestPool:
                         pool.submit([(f"r{i}", greedy) for i in range(8)])()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_leaving_on_an_exception_sends_no_unstarted_request(self, monkeypatch):
+        both_sent, joining = threading.Event(), threading.Event()
+        sent = []
+        join = threading.Thread.join
+
+        def joined(thread, timeout=None):
+            joining.set()  # the pool is leaving: what has not started stays unsent
+            join(thread, timeout)
+
+        class HoldsUntilJoined:
+            def complete(self, prompt, params):
+                sent.append(prompt)
+                if len(sent) == 2:
+                    both_sent.set()
+                joining.wait(5)
+                return Generation(text=prompt)
+
+        monkeypatch.setattr(threading.Thread, "join", joined)
+        greedy = DecodeParams.greedy()
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="leaving"):
+            with RequestPool(HoldsUntilJoined(), 2) as pool:
+                first = pool.submit([(f"a{i}", greedy) for i in range(5)])
+                second = pool.submit([("b", greedy)])
+                assert both_sent.wait(5)
+                raise KeyError("leaving")
+        assert sorted(sent) == ["a0", "a1"]
+        assert threading.active_count() == threads
+        # The batches whose requests were cancelled fail with the exception
+        # that left the block; their wait steps do not hang.
+        assert [repr(outcome_within(step)) for step in (first, second)] == [
+            "KeyError('leaving')"] * 2
+
+    def test_an_interrupt_in_a_request_fails_only_its_batch(self):
+        class Interrupts:
+            def complete(self, prompt, params):
+                if prompt == "stop":
+                    raise KeyboardInterrupt
+                return Generation(text=prompt)
+
+        greedy = DecodeParams.greedy()
+        threads = threading.active_count()
+        with RequestPool(Interrupts(), 2) as pool:
+            interrupted = pool.submit([("a", greedy), ("stop", greedy), ("b", greedy)])
+            assert isinstance(outcome_within(interrupted), KeyboardInterrupt)
+            later = pool.submit([("c", greedy), ("d", greedy), ("e", greedy)])
+            assert [g.text for g in outcome_within(later)] == ["c", "d", "e"]
+        assert threading.active_count() == threads
+
+    def test_a_small_batch_starts_no_more_threads_than_requests(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        batch = [("a", DecodeParams.greedy()), ("b", DecodeParams.greedy())]
+        generations = complete_many(MockBackend([], default_answer="x"), batch, parallelism=8)
+        assert [g.text for g in generations] == ["x", "x"]
+        assert 1 <= len(started) <= 2
+        assert not any(thread.is_alive() for thread in started)

@@ -274,6 +274,21 @@ class TestResolveSplit:
         assert "1 probability maps for 2 tokens" in errors.pop(TEST3[1].key)
         assert set(errors.values()) == {None}
 
+    def test_deeply_nested_body_fails_only_its_example(self, serve):
+        poison_text = TEST3[1].text
+
+        def respond(call):
+            if poison_text in call["json"]["prompt"]:
+                return Reply(200, b"[" * 100_000)
+            return Reply(200, {"choices": [{"text": "water", "logprobs": None}]})
+
+        backend = serve(respond).client(HTTPBackend, sleep=lambda s: None)
+        config = RunConfig(combiner=Combiner.KATE, parallelism=2)
+        split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
+        errors = {r.key: r.error for r in split_result.results}
+        assert errors.pop(TEST3[1].key).startswith("completion returned HTTP 200 with unusable body")
+        assert set(errors.values()) == {None}
+
     def test_embedding_failure_fails_only_its_example(self, serve):
         poison_text = TEST3[2].text
 
