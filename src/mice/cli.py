@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combine import canonicalize
-from .corpus import CorpusError, Dataset, load_corpus, sample_kshot, save_corpus, to_json
+from .corpus import Dataset, load_corpus, read_json, sample_kshot, save_corpus, to_json
 from .detector import default_rules, detect_anaphors, evaluate_rules, load_rules
 from .distill import DropLog, export_records, generate_pseudo_labels, load_unlabeled_docs
 from .gateway import (
@@ -42,7 +42,7 @@ from .pipeline import (
     write_manifest,
 )
 from .postfilter import FilterConfig
-from .prompts import Ordering, PromptBudgetError, PromptSetConfig, Selection, Template
+from .prompts import Ordering, PromptSetConfig, Selection, Template
 
 logger = logging.getLogger(__name__)
 
@@ -192,10 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_template(path: Optional[str]) -> Template:
-    if not path:
-        return Template()
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def _decode_template(payload: dict) -> Template:
     unknown = set(payload) - {f.name for f in fields(Template)}
     if unknown:
         raise UsageError(f"unknown template fields: {sorted(unknown)}")
@@ -251,7 +248,8 @@ def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
             max_sequence_length=args.max_seq_len,
             generation_reserve=args.gen_reserve,
         ),
-        template=_load_template(args.template),
+        template=(read_json(args.template, "template", _decode_template)
+                  if args.template else Template()),
         decode=decode,
         filters=FilterConfig(
             max_antecedent_tokens=args.max_ante_tokens,
@@ -398,15 +396,17 @@ def _emit(out: str, report_path: Optional[str]) -> None:
         Path(report_path).write_text(out + "\n", encoding="utf-8")
 
 
+def _decode_predictions(payload: dict) -> dict[str, list[str]]:
+    for key, surfaces in payload.items():
+        if not isinstance(surfaces, list) or not all(isinstance(s, str) for s in surfaces):
+            raise TypeError(f"predictions for {key!r} must be a list of strings")
+    return {key: [canonicalize(s) for s in surfaces] for key, surfaces in payload.items()}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
-    gold_dataset = load_corpus(args.corpus)
-    gold = {ex.key: ex.gold_surfaces() for ex in gold_dataset}
-    report = micro_f1(
-        {key: [canonicalize(s) for s in surfaces]
-         for key, surfaces in predictions.items()},
-        gold,
-    )
+    predictions = read_json(args.predictions, "predictions", _decode_predictions)
+    gold = {ex.key: ex.gold_surfaces() for ex in load_corpus(args.corpus)}
+    report = micro_f1(predictions, gold)
     print(report.to_table())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -463,8 +463,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, CorpusError, PromptBudgetError, ValueError,
-            FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError, CorpusError, PromptBudgetError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

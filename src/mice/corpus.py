@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import types
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,7 +27,32 @@ import numpy as np
 
 
 class CorpusError(ValueError):
-    """A corpus file or record violates the data contract."""
+    """An input file mice reads, or a record in it, violates its data contract."""
+
+
+def read_json(path: str | Path, what: str, decode: Callable[[Any], Any],
+              lines: bool = False) -> Any:
+    """``decode`` applied to the JSON document at ``path``.
+
+    With ``lines``, the file is JSONL: each non-blank line is decoded in
+    turn and the list of values returned. Any failure to read, parse or
+    decode raises ``CorpusError("<what> <path>[ line <n>]: <detail>")``,
+    where a ``KeyError``'s detail reads ``missing field '<name>'``.
+    """
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if not lines:
+                return decode(json.loads(fh.read()))
+            values = []
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    values.append(decode(json.loads(line)))
+            return values
+    except (OSError, AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        where = f" line {line_no}" if line_no else ""
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise CorpusError(f"{what} {path}{where}: {detail}") from exc
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -146,23 +171,22 @@ class Example:
             raise CorpusError(f"example {self.key} is unlabeled")
         return [s.surface for s in sorted(self.gold_antecedents, key=lambda s: s.start)]
 
-    def validate(self, where: str = "") -> None:
-        loc = f" at {where}" if where else ""
+    def validate(self) -> None:
         n = len(self.text)
         for name, span in [("anaphor", self.anaphor)] + [
             ("antecedent", a) for a in (self.gold_antecedents or ())
         ]:
             if not (0 <= span.start < span.end <= n):
-                raise CorpusError(f"invalid span{loc}: {name} [{span.start}, {span.end})")
+                raise CorpusError(f"invalid span: {name} [{span.start}, {span.end})")
             if span.surface != self.text[span.start : span.end]:
-                raise CorpusError(f"surface mismatch{loc}: {name} [{span.start}, {span.end})")
+                raise CorpusError(f"surface mismatch: {name} [{span.start}, {span.end})")
         if self.gold_antecedents is not None:
             seen: set[tuple[int, int]] = set()
             for a in self.gold_antecedents:
                 if a.end > self.anaphor.start:
-                    raise CorpusError(f"antecedent follows anaphor{loc}")
+                    raise CorpusError("antecedent follows anaphor")
                 if a.offsets() in seen:
-                    raise CorpusError(f"duplicate antecedent{loc}: [{a.start}, {a.end})")
+                    raise CorpusError(f"duplicate antecedent: [{a.start}, {a.end})")
                 seen.add(a.offsets())
 
 
@@ -211,24 +235,16 @@ class KShotSample:
         return iter(self.examples)
 
 
-def _example_from_record(record: dict, line_no: int) -> Example:
-    try:
-        doc_id = record["doc_id"]
-        text = record["text"]
-        ana = record["anaphor"]
-        anaphor = Span.from_offsets(text, int(ana["start"]), int(ana["end"]))
-        antecedents: Optional[tuple[Span, ...]] = None
-        if "antecedents" in record and record["antecedents"] is not None:
-            antecedents = tuple(
-                Span.from_offsets(text, int(a["start"]), int(a["end"]))
-                for a in record["antecedents"]
-            )
-    except (KeyError, TypeError) as exc:
-        raise CorpusError(f"missing or malformed field at line {line_no}: {exc}") from exc
-    except CorpusError as exc:
-        raise CorpusError(f"{exc} at line {line_no}") from exc
-    example = Example(doc_id=doc_id, text=text, anaphor=anaphor, gold_antecedents=antecedents)
-    example.validate(where=f"line {line_no}")
+def _example_from_record(record: dict) -> Example:
+    doc_id, text, anaphor = record["doc_id"], record["text"], record["anaphor"]
+    antecedents = record.get("antecedents")
+
+    def span(offsets: dict) -> Span:
+        return Span.from_offsets(text, int(offsets["start"]), int(offsets["end"]))
+
+    example = Example(doc_id, text, span(anaphor),
+                      None if antecedents is None else tuple(map(span, antecedents)))
+    example.validate()
     return example
 
 
@@ -237,16 +253,7 @@ def load_corpus(path: str | Path, split_name: Optional[str] = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
-    examples: list[Example] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON at line {line_no}: {exc.msg}") from exc
-            examples.append(_example_from_record(record, line_no))
+    examples = read_json(path, "corpus", _example_from_record, lines=True)
     return Dataset(examples=tuple(examples), split_name=split_name or path.stem)
 
 

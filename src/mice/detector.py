@@ -27,8 +27,13 @@ class RuleSet:
     def __post_init__(self) -> None:
         if not self.patterns:
             raise ValueError("rule set must contain at least one pattern")
-        compiled = tuple(re.compile(rf"\b(?:{p})\b", re.IGNORECASE) for p in self.patterns)
-        object.__setattr__(self, "_compiled", compiled)
+        compiled = []
+        for p in self.patterns:
+            try:
+                compiled.append(re.compile(rf"\b(?:{p})\b", re.IGNORECASE))
+            except re.error as exc:
+                raise ValueError(f"rule {p!r} is not a valid pattern: {exc.msg}") from exc
+        object.__setattr__(self, "_compiled", tuple(compiled))
 
     def finditer(self, text: str) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, rule_index) for every raw rule match."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Optional, Sequence
 
-from .corpus import CorpusError, Example, Span, from_json, to_json
+from .corpus import CorpusError, Example, Span, from_json, read_json, to_json
 from .detector import RuleSet, detect_examples
 from .gateway import Tokenizer, WordTokenizer
 from .pipeline import ResolutionResult
@@ -188,19 +188,16 @@ def build_record(
     )
 
 
+def _unlabeled_doc(record: dict) -> tuple[str, str]:
+    doc_id, text = record["doc_id"], record["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, not {type(text).__name__}")
+    return doc_id, text
+
+
 def load_unlabeled_docs(path: str | Path) -> list[tuple[str, str]]:
     """Read unlabeled documents: JSONL of {"doc_id": ..., "text": ...}."""
-    docs: list[tuple[str, str]] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                docs.append((record["doc_id"], record["text"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorpusError(f"bad unlabeled doc at line {line_no}: {exc}") from exc
-    return docs
+    return read_json(path, "unlabeled docs", _unlabeled_doc, lines=True)
 
 
 def generate_pseudo_labels(
@@ -208,7 +205,6 @@ def generate_pseudo_labels(
     resolve: Callable[[Sequence[Example]], Generator[ResolutionResult | Exception, None, None]],
     m: int,
     rules: RuleSet,
-    tokenizer: Optional[Tokenizer] = None,
     drop_log: Optional[DropLog] = None,
     checkpoint_path: Optional[str | Path] = None,
 ) -> list[PseudoLabeledRecord]:
@@ -218,7 +214,7 @@ def generate_pseudo_labels(
     result or the error that failed it. The first error is raised after the
     completed records are written to ``checkpoint_path`` (if given).
     """
-    tokenizer = tokenizer or WordTokenizer()
+    tokenizer = WordTokenizer()
     pending: list[Example] = []
     for doc_id, text in docs:
         pending.extend(detect_examples(doc_id, text, rules))
@@ -268,9 +264,4 @@ def export_records(
 
 def load_records(path: str | Path) -> list[PseudoLabeledRecord]:
     """Reload a JSONL export; inverse of export_records(..., "jsonl")."""
-    records = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(from_json(PseudoLabeledRecord, json.loads(line)))
-    return records
+    return read_json(path, "records", lambda r: from_json(PseudoLabeledRecord, r), lines=True)

@@ -342,31 +342,34 @@ class MockBackend:
         answers every prompt built from the keyed corpus with the gold
         antecedents, for loopback tests.
         """
-        from .corpus import load_corpus
+        from .corpus import load_corpus, read_json
         from .prompts import Template
 
         template = template or Template()
         swap = (Template().separator, template.separator)
         path = Path(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        mode = payload.get("mode", "scripted")
-        if mode == "oracle-echo":
-            dataset = load_corpus(path.parent / payload["answer_key"])
-            return cls.oracle_echo(dataset, template)
-        if mode != "scripted":
-            raise ValueError(f"unknown mock fixture mode: {mode}")
-        entries = [
-            ScriptedEntry(
-                answer=e["answer"].replace(*swap),
-                suffix=e.get("suffix"),
-                contains=tuple(e.get("contains", ())),
-                slot_distributions=tuple(e.get("slot_distributions", ())),
-                slot_completions=e.get("slot_completions", {}),
-            )
-            for e in payload.get("entries", ())
-        ]
-        default = payload.get("default_answer", "").replace(*swap)
-        return cls(entries, separator=template.separator, default_answer=default)
+
+        def decode(payload: dict) -> "MockBackend":
+            mode = payload.get("mode", "scripted")
+            if mode == "oracle-echo":
+                dataset = load_corpus(path.parent / payload["answer_key"])
+                return cls.oracle_echo(dataset, template)
+            if mode != "scripted":
+                raise ValueError(f"unknown mock fixture mode: {mode}")
+            entries = [
+                ScriptedEntry(
+                    answer=e["answer"].replace(*swap),
+                    suffix=e.get("suffix"),
+                    contains=tuple(e.get("contains", ())),
+                    slot_distributions=tuple(map(dict, e.get("slot_distributions", ()))),
+                    slot_completions=dict(e.get("slot_completions", {})),
+                )
+                for e in payload.get("entries", ())
+            ]
+            default = payload.get("default_answer", "").replace(*swap)
+            return cls(entries, separator=template.separator, default_answer=default)
+
+        return read_json(path, "mock fixture", decode)
 
     @classmethod
     def oracle_echo(cls, dataset, template) -> "MockBackend":

@@ -24,7 +24,7 @@ from .combine import (
     extract_prediction,
     kate_plus_requests,
 )
-from .corpus import Dataset, Example, KShotSample, from_json, to_json
+from .corpus import CorpusError, Dataset, Example, KShotSample, from_json, read_json, to_json
 from .gateway import (
     Backend,
     BackendError,
@@ -392,24 +392,12 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
     values. The returned result carries freshly computed candidates and
     finals plus a recomputed score report.
     """
-    config: Optional[RunConfig] = None
-    entries: list[tuple] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                kind = payload.get("record")
-                if kind == "header":
-                    config = _decode_header(payload)
-                elif kind == "entry":
-                    entries.append(_decode_entry(payload))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ValueError(f"manifest {path} line {lineno}: {detail}") from exc
-    if config is None:
-        raise ValueError(f"manifest {path} has no header")
+    records = read_json(path, "manifest", _decode_record, lines=True)
+    headers = [value for kind, value in records if kind == "header"]
+    if not headers:
+        raise CorpusError(f"manifest {path} has no header")
+    config = headers[-1]
+    entries = [value for kind, value in records if kind == "entry"]
     tokenizer = WordTokenizer()
     results = [
         _failed(key, gold, error) if error or not generations
@@ -417,6 +405,13 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
         for key, gold, prompt_ids, gating, generations, error in entries
     ]
     return _assemble_split_result(results), config
+
+
+def _decode_record(record: dict) -> tuple[str, object]:
+    """A manifest line's kind and its decoded header or entry (``None`` otherwise)."""
+    kind = record.get("record")
+    decode = {"header": _decode_header, "entry": _decode_entry}.get(kind)
+    return kind, decode(record) if decode else None
 
 
 def _decode_header(header: dict) -> RunConfig:

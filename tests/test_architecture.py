@@ -112,6 +112,15 @@ def test_one_request_plan():
     }
 
 
+def test_one_reader():
+    # Every JSON file mice reads goes through corpus.read_json, which names
+    # the file and line of a malformed one; the transport decodes the wire.
+    assert uses_by_module({"load", "loads"}, calls_only=True) == {
+        "corpus.py": {("read_json", "loads")},
+        "gateway.py": {("post", "loads")},
+    }
+
+
 def test_only_the_codec_memoizes():
     # corpus caches one entry per dataclass type for its codec; a table
     # cached anywhere else would live as long as the process, not the run.

@@ -381,6 +381,17 @@ class TestEval:
         assert "f1 1.0000" in capsys.readouterr().out
         assert json.loads(report_path.read_text())["f1"] == 1.0
 
+    def test_surfaces_joined_in_a_string_are_exit_one(self, tmp_path, capsys):
+        predictions = self.gold_predictions()
+        key = next(iter(predictions))
+        predictions[key] = " | ".join(predictions[key])
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(predictions), encoding="utf-8")
+        assert run(["eval", "--predictions", str(pred_path), "--corpus", CLI_TEST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: predictions {pred_path}: ")
+        assert repr(key) in err
+
     def test_key_mismatch_is_exit_one(self, tmp_path, capsys):
         pred_path = tmp_path / "pred.json"
         pred_path.write_text(json.dumps({"wrong:0:1": ["water"]}), encoding="utf-8")
@@ -546,6 +557,96 @@ class TestDistill:
         assert code == 2
         assert "backend error" in capsys.readouterr().err
         assert slept == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("command", ["detect", "distill"])
+def test_invalid_rule_pattern_is_exit_one(tmp_path, capsys, command):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("the mixture\n(unclosed\n", encoding="utf-8")
+    argv = {
+        "detect": ["detect", "--docs", UNLABELED, "--rules", str(rules)],
+        "distill": TestDistill().distill_args(tmp_path, "--rules", str(rules)),
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rule '(unclosed' is not a valid pattern")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda out: resolve_args("--seed", "1", "--manifest", out),
+        lambda out: resolve_args("--seed", "1", "--report", out),
+        lambda out: resolve_args("--seed", "1", "--predictions", out),
+        lambda out: ["sample", "--train", TRAIN, "--k", "1", "--seed", "1", "--out", out],
+        lambda out: ["detect", "--docs", UNLABELED, "--out", out],
+    ],
+    ids=["resolve-manifest", "resolve-report", "resolve-predictions", "sample-out",
+         "detect-out"],
+)
+def test_output_path_that_is_a_directory_is_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(argv(str(out))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
+# Each input flag: what its errors call the file, whether it is JSONL, and
+# a command that reads it.
+INPUT_FLAGS = {
+    "corpus": ("corpus", True, lambda path: ["detect", "--corpus", path]),
+    "train": ("corpus", True,
+              lambda path: ["sample", "--train", path, "--k", "1", "--seed", "1"]),
+    "template": ("template", False,
+                 lambda path: resolve_args("--seed", "1", "--template", path)),
+    "lm-mock": ("mock fixture", False,
+                lambda path: ["resolve", "--corpus", CLI_TEST, "--train", TRAIN, "--k", "4",
+                              "--seed", "1", "--lm-mock", path]),
+    "docs": ("unlabeled docs", True, lambda path: ["detect", "--docs", path]),
+    "unlabeled": ("unlabeled docs", True,
+                  lambda path: ["distill", "--unlabeled", path, "--count", "1",
+                                "--out", path + ".out", "--train", TRAIN, "--k", "4",
+                                "--lm-mock", SCRIPTED]),
+    "predictions": ("predictions", False,
+                    lambda path: ["eval", "--predictions", path, "--corpus", CLI_TEST]),
+    "manifest": ("manifest", True, lambda path: ["replay", "--manifest", path]),
+}
+NOT_JSON = "{oops"
+# Per flag: a value of the wrong top-level type, then a record with a
+# missing field (or, where every field is optional, a mistyped one).
+WRONG_SHAPES = {
+    "corpus": ("[1]", '{"doc_id": "a"}'),
+    "train": ("[1]", '{"doc_id": "a"}'),
+    "template": ("5", '{"separator": 1}'),
+    "lm-mock": ("[1]", '{"entries": [{"suffix": "x"}]}'),
+    "docs": ("[1]", '{"doc_id": "a"}'),
+    "unlabeled": ("[1]", '{"doc_id": "a", "text": 5}'),
+    "predictions": ('["water"]', '{"doc:0:1": "water | brine"}'),
+    "manifest": ("[1]", '{"record": "entry"}'),
+}
+
+
+@pytest.mark.parametrize("flag", INPUT_FLAGS)
+@pytest.mark.parametrize("case", ["not-json", "wrong-type", "bad-field", "directory"])
+def test_malformed_input_file_is_exit_one(tmp_path, capsys, flag, case):
+    what, jsonl, argv = INPUT_FLAGS[flag]
+    path = tmp_path / f"input.{flag}"
+    if case == "directory":
+        path.mkdir()
+    else:
+        content = {"not-json": NOT_JSON, "wrong-type": WRONG_SHAPES[flag][0],
+                   "bad-field": WRONG_SHAPES[flag][1]}[case]
+        # A leading blank line: JSONL line numbers count it.
+        path.write_text("\n" + content + "\n" if jsonl else content, encoding="utf-8")
+    assert run(argv(str(path))) == 1
+    err = capsys.readouterr().err
+    where = " line 2" if jsonl and case != "directory" else ""
+    assert err.startswith(f"error: {what} {path}{where}: "), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["resolve", "distill"])

@@ -11,6 +11,7 @@ from mice.corpus import (
     Span,
     example_to_record,
     load_corpus,
+    read_json,
     sample_kshot,
     save_corpus,
     seeded_prefix,
@@ -159,6 +160,33 @@ class TestLoadSave:
         assert len(test) == 64
         for ex in list(train) + list(test):
             ex.validate()
+
+
+class TestReadJson:
+    def test_document_is_decoded_whole(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2]}', encoding="utf-8")
+        assert read_json(path, "doc", lambda value: value["a"]) == [1, 2]
+
+    def test_jsonl_skips_blank_lines_but_counts_them(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"n": 1}\n\n{"n": 2}\n{"m": 3}\n', encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            read_json(path, "rows", lambda row: row["n"], lines=True)
+        assert str(info.value) == f"rows {path} line 4: missing field 'n'"
+        path.write_text('{"n": 1}\n\n{"n": 2}\n', encoding="utf-8")
+        assert read_json(path, "rows", lambda row: row["n"], lines=True) == [1, 2]
+
+    def test_too_deeply_nested_line_is_a_corpus_error(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("{}\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=" line 2: maximum recursion depth"):
+            read_json(path, "rows", dict, lines=True)
+
+    def test_unreadable_file_names_no_line(self, tmp_path):
+        with pytest.raises(CorpusError) as info:
+            read_json(tmp_path, "rows", dict, lines=True)
+        assert str(info.value).startswith(f"rows {tmp_path}: [Errno ")
 
 
 class TestSampleKshot:
