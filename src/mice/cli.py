@@ -282,9 +282,15 @@ def _seed_list(args: argparse.Namespace) -> list[int]:
 
 def _seeded_path(path: str, seed: int, multi: bool) -> Path:
     p = Path(path)
-    if not multi:
-        return p
-    return p.with_name(f"{p.stem}.seed{seed}{p.suffix}")
+    return p.with_name(f"{p.stem}.seed{seed}{p.suffix}") if multi else p
+
+
+def _check_outputs(*paths: Optional[str | Path]) -> None:
+    """Refuse, before any work is paid for, an output path that cannot be written."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir() or not path.parent.is_dir():
+            problem = "is a directory" if path.is_dir() else "has no parent directory"
+            raise UsageError(f"output path {problem}: {path}")
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -333,6 +339,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_resolve(args: argparse.Namespace) -> int:
     seeds = _seed_list(args)
     multi = len(seeds) > 1
+    _check_outputs(args.report, *(_seeded_path(path, seed, multi) for seed in seeds
+                                  for path in (args.manifest, args.predictions) if path))
     train = load_corpus(args.train)
     test = load_corpus(args.corpus)
     configs = [_run_config(args, seed) for seed in seeds]
@@ -414,6 +422,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
+    _check_outputs(args.out, args.drops)
     rules = load_rules(args.rules) if args.rules else default_rules()
     docs = load_unlabeled_docs(args.unlabeled)
     train = load_corpus(args.train)

@@ -17,7 +17,7 @@ import types
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import (
     Any, Collection, Iterator, Optional, Union, get_args, get_origin, get_type_hints,
@@ -55,44 +55,17 @@ def read_json(path: str | Path, what: str, decode: Callable[[Any], Any],
         raise CorpusError(f"{what} {path}{where}: {detail}") from exc
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
 def to_json(obj: Any, omit: Collection[str] = ()) -> Any:
     """JSON-ready form of a value built from dataclasses.
 
     A dataclass becomes a dict of its init fields (minus ``omit``, top
     level only), an enum its value, a tuple or list a list, and a mapping
-    a dict with string keys. Serialize with ``sort_keys=True`` for stable
-    bytes.
+    a dict with string keys. A dataclass object met more than once in one
+    call is encoded once and its dict reused. Serialize with
+    ``sort_keys=True`` for stable bytes.
     """
-    kind = type(obj)
-    if kind in _SCALARS:
-        return obj
-    if kind is tuple or kind is list:
-        return [v if type(v) in _SCALARS else to_json(v) for v in obj]
-    if isinstance(obj, Mapping):
-        return {str(k): v if type(v) in _SCALARS else to_json(v) for k, v in obj.items()}
-    if isinstance(obj, Enum):
-        return obj.value
-    if is_dataclass(obj):
-        return {
-            name: to_json(getattr(obj, name))
-            for name in _init_field_names(kind)
-            if name not in omit
-        }
-    return obj
-
-
-@lru_cache(maxsize=None)
-def _init_field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
-
-
-@lru_cache(maxsize=None)
-def _init_field_types(cls: type) -> tuple[tuple[str, Any], ...]:
-    hints = get_type_hints(cls)
-    return tuple((name, hints[name]) for name in _init_field_names(cls))
+    encode = _codec(type(obj))[0]
+    return encode(obj, {}, omit) if omit else encode(obj, {})
 
 
 def from_json(tp: Any, value: Any) -> Any:
@@ -101,32 +74,56 @@ def from_json(tp: Any, value: Any) -> Any:
     Every init field of a dataclass must be present; mapping keys are
     converted back to the annotated key type.
     """
-    if value is None:
-        return None
-    origin = get_origin(tp)
-    if origin in (Union, types.UnionType):
-        (inner,) = (a for a in get_args(tp) if a is not type(None))
-        return from_json(inner, value)
-    if origin is tuple:
-        item_type = get_args(tp)[0]
-        if item_type in _SCALARS:
-            return tuple(value)
-        return tuple(from_json(item_type, v) for v in value)
-    if origin in (dict, Mapping):
-        key_type, value_type = get_args(tp)
-        if key_type is str and value_type in _SCALARS:
-            return value
-        return {key_type(k): from_json(value_type, v) for k, v in value.items()}
-    if is_dataclass(tp):
-        return tp(
-            **{
-                name: from_json(field_type, value[name])
-                for name, field_type in _init_field_types(tp)
-            }
-        )
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(value)
+    return None if value is None else _codec(tp)[1](value)
+
+
+def _same(value: Any, memo: Optional[dict] = None) -> Any:
     return value
+
+
+@lru_cache(maxsize=None)
+def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
+    """``(encode, decode)`` for values annotated ``tp``, compiled once from its
+    type hints, so no value's type is inspected at run time.
+
+    ``encode(value, memo)`` returns the dict that ``memo`` (``id`` to dict,
+    one per ``to_json`` call) holds for a dataclass object already encoded.
+    Only an unparameterized container encodes its items by runtime type.
+    """
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if origin in (Union, types.UnionType):
+        ((enc, dec),) = (_codec(a) for a in args if a is not type(None))
+        return (enc, dec) if enc is dec is _same else (
+            lambda v, memo: v if v is None else enc(v, memo),
+            lambda v: v if v is None else dec(v))
+    if origin in (tuple, list):
+        enc, dec = _codec(args[0] if args else Any)
+        return ((lambda v, memo: list(v)), origin) if enc is _same else (
+            (lambda v, memo: [enc(x, memo) for x in v]), lambda v: origin(map(dec, v)))
+    if origin in (dict, Mapping):
+        key, value = args or (str, Any)
+        enc, dec = _codec(value)
+        if key is str and enc is _same:
+            return (lambda m, memo: dict(m)), _same
+        return ((lambda m, memo: {str(k): v for k, v in m.items()}) if enc is _same else
+                (lambda m, memo: {str(k): enc(v, memo) for k, v in m.items()}),
+                lambda m: {key(k): dec(v) for k, v in m.items()})
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        named = [(f.name, *_codec(hints[f.name])) for f in fields(tp) if f.init]
+
+        def encode(obj: Any, memo: dict, omit: Collection[str] = ()) -> dict:
+            done = memo.get(id(obj))
+            if done is None:
+                done = memo[id(obj)] = {name: enc(getattr(obj, name), memo)
+                                        for name, enc, _ in named if name not in omit}
+            return done
+        return encode, lambda v: tp(**{name: dec(v[name]) for name, _, dec in named})
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return (lambda v, memo: v.value), tp
+    if tp is Any:  # an item of an unparameterized container
+        return (lambda v, memo: _codec(type(v))[0](v, memo)), _same
+    return _same, _same
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ class KShotSample:
         return iter(self.examples)
 
 
-def _example_from_record(record: dict) -> Example:
+def _example_from_record(keys: set[str], record: dict) -> Example:
     doc_id, text, anaphor = record["doc_id"], record["text"], record["anaphor"]
     antecedents = record.get("antecedents")
 
@@ -245,6 +242,9 @@ def _example_from_record(record: dict) -> Example:
     example = Example(doc_id, text, span(anaphor),
                       None if antecedents is None else tuple(map(span, antecedents)))
     example.validate()
+    if (key := example.key) in keys:
+        raise CorpusError(f"duplicate anaphor key {key}")
+    keys.add(key)
     return example
 
 
@@ -253,7 +253,7 @@ def load_corpus(path: str | Path, split_name: Optional[str] = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
-    examples = read_json(path, "corpus", _example_from_record, lines=True)
+    examples = read_json(path, "corpus", partial(_example_from_record, set()), lines=True)
     return Dataset(examples=tuple(examples), split_name=split_name or path.stem)
 
 

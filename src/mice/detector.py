@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import Dataset, Example, Span
+from .corpus import CorpusError, Dataset, Example, Span
 from .metrics import ScoreReport
 
 
@@ -90,10 +90,16 @@ def detect_examples(doc_id: str, text: str, rules: RuleSet) -> list[Example]:
 def load_rules(path: str | Path) -> RuleSet:
     """Read one pattern per line; blank lines and `#` comments are skipped."""
     patterns = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             patterns.append(line)
+            try:
+                RuleSet(patterns=(line,))
+            except ValueError as exc:
+                raise CorpusError(f"rules {path} line {n}: {exc}") from exc
+    if not patterns:
+        raise CorpusError(f"rules {path}: rule set must contain at least one pattern")
     return RuleSet(patterns=tuple(patterns))
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence
 
 from .combine import (
     CandidateAntecedent,
+    PromptPrediction,
     combine_kate_plus,  # not called; bench/tracing.py hooks it until ROADMAP direction 2
     combine_mice,
     combine_mice_sample,
@@ -294,12 +295,16 @@ def _finish(
     """Extract, combine and filter one example's generations.
 
     Resolution and replay both end here, so a replayed manifest goes
-    through the very code that produced it.
+    through the very code that produced it. Positions that share one
+    ``Generation`` object share its extraction, each under its own prompt id.
     """
-    predictions = [
-        extract_prediction(gen, config.template, tokenizer, prompt_id=pid)
-        for pid, gen in zip(prompt_ids, generations)
-    ]
+    extracted: dict[int, PromptPrediction] = {}
+    predictions = []
+    for pid, gen in zip(prompt_ids, generations):
+        if id(gen) not in extracted:
+            extracted[id(gen)] = extract_prediction(gen, config.template, tokenizer, prompt_id=pid)
+        p = extracted[id(gen)]
+        predictions.append(p if p.prompt_id == pid else replace(p, prompt_id=pid))
     combiner = config.combiner
     if combiner is Combiner.MICE:
         candidates = combine_mice(predictions, gating, tokenizer)

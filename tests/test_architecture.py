@@ -122,12 +122,18 @@ def test_one_reader():
 
 
 def test_only_the_codec_memoizes():
-    # corpus caches one entry per dataclass type for its codec; a table
-    # cached anywhere else would live as long as the process, not the run.
+    # corpus caches one compiled (encode, decode) pair per type for its
+    # codec; a table cached anywhere else would live as long as the process,
+    # not the run.
     assert uses_by_module({"lru_cache", "cache"}) == {
-        "corpus.py": {
-            ("<module>", "lru_cache"),
-            ("_init_field_names", "lru_cache"),
-            ("_init_field_types", "lru_cache"),
-        },
+        "corpus.py": {("<module>", "lru_cache"), ("_codec", "lru_cache")},
+    }
+
+
+def test_only_the_codec_reads_type_hints():
+    # The codec reads annotations once per type, when it compiles; nothing
+    # else inspects types, so no value pays for it at run time.
+    assert uses_by_module({"get_type_hints", "get_origin", "get_args"}, calls_only=True) == {
+        "corpus.py": {("_codec", "get_type_hints"), ("_codec", "get_origin"),
+                      ("_codec", "get_args")},
     }

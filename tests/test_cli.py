@@ -21,6 +21,7 @@ from mice.cli import run
 from mice.corpus import load_corpus, sample_kshot
 from mice.distill import load_records
 from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
+from mice.pipeline import replay_manifest
 
 from support import Reply
 
@@ -399,6 +400,28 @@ class TestEval:
         assert "key sets differ" in capsys.readouterr().err
 
 
+# sha256 of the manifest `mice resolve ... --seed 1 --manifest` writes on
+# cli_test.jsonl (k=4 of synthetic_train, oracle-echo mock unless a later
+# --lm-mock overrides it). "TEMPLATE" stands for a template whose separator
+# is ";". A change to the codec or the resolver must leave every byte alone.
+GOLDEN_MANIFESTS = {
+    "mice": (("--combiner", "mice"),
+             "c71ed7b74f8c49464b785ec51427ffe3bf4637a40fcd472bb79bf6e2f03c9052"),
+    "mice-s": (("--combiner", "mice-s"),
+               "9a4b8f08b0cf712b71f92ba4e3821795495b183b6f19d272c507ea29e16e583b"),
+    "kate": (("--combiner", "kate"),
+             "827d6fa72ce9db7b469658ad9b7b18e65e5f62e6f14807a61eb2d25acc3ffdfb"),
+    "kate-plus": (("--combiner", "kate-plus", "--decode", "nucleus", "--kp-samples", "16"),
+                  "23203e1f423a1a1a2274fe58d42d2da8f60006cb6cd129a2c6f03a0406550cc9"),
+    "product": (("--combiner", "product"),
+                "0cc7a1502bbe33bce78a839f3c4358cb48cd2653759c40fd93a9489f384a89b9"),
+    "mice-s-template": (("--template", "TEMPLATE"),
+                        "17e6e06c3b8f532bbb4fba0bf73206434ec29c03ce57083338b9b9e9f3ac66b0"),
+    "mice-scripted": (("--combiner", "mice", "--lm-mock", SCRIPTED),
+                      "03016442cf85976de1989fe36be0e73f55789b02edcd856cbd49fd75ac15679a"),
+}
+
+
 class TestReplay:
     def make_manifest(self, tmp_path):
         manifest = tmp_path / "manifest.jsonl"
@@ -414,6 +437,19 @@ class TestReplay:
         ) == 0
         assert json.loads(capsys.readouterr().out)["f1"] == 1.0
         assert json.loads(report_path.read_text())["f1"] == 1.0
+
+    @pytest.mark.parametrize("extra, sha256", GOLDEN_MANIFESTS.values(),
+                             ids=GOLDEN_MANIFESTS.keys())
+    def test_manifest_bytes_are_pinned(self, tmp_path, capsys, extra, sha256):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"separator": ";"}), encoding="utf-8")
+        manifest = tmp_path / "manifest.jsonl"
+        argv = resolve_args("--seed", "1", "--manifest", str(manifest),
+                            *(str(template) if a == "TEMPLATE" else a for a in extra))
+        assert run(argv) == 0
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == sha256
+        replayed, _ = replay_manifest(manifest)
+        assert replayed.report.to_json() + "\n" == capsys.readouterr().out
 
     def test_replay_matches_resolve_under_template(self, tmp_path, capsys):
         template = tmp_path / "template.json"
@@ -569,8 +605,26 @@ def test_invalid_rule_pattern_is_exit_one(tmp_path, capsys, command):
     }[command]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: rule '(unclosed' is not a valid pattern")
+    assert err.startswith(f"error: rules {rules} line 2: rule '(unclosed' is not a valid pattern")
     assert "Traceback" not in err
+
+
+def test_rules_without_a_pattern_name_the_file(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# only a comment\n\n", encoding="utf-8")
+    assert run(["detect", "--docs", UNLABELED, "--rules", str(rules)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: rules {rules}: rule set must contain at least one pattern\n")
+
+
+def test_repeated_anaphor_key_names_file_and_line(tmp_path, capsys):
+    first = Path(CLI_TEST).read_text(encoding="utf-8").splitlines()[0]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(f"{first}\n\n{first}\n", encoding="utf-8")
+    key = load_corpus(CLI_TEST)[0].key
+    assert run(["detect", "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: corpus {corpus} line 3: duplicate anaphor key {key}\n")
 
 
 @pytest.mark.parametrize(
@@ -593,6 +647,45 @@ def test_output_path_that_is_a_directory_is_exit_one(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert str(out) in err
     assert "Traceback" not in err
+
+
+# Per case: the argv, given a scratch directory, and the output path it
+# cannot write there ("out" is made a directory, "missing/" does not exist).
+UNWRITABLE_OUTPUTS = {
+    "resolve-manifest": (lambda d: resolve_args("--seed", "1", "--manifest", f"{d}/out"),
+                         "out"),
+    "resolve-report": (lambda d: resolve_args("--seed", "1", "--report", f"{d}/out"), "out"),
+    "resolve-predictions": (lambda d: resolve_args(
+        "--seed", "1", "--predictions", f"{d}/missing/p.json"), "missing/p.json"),
+    "resolve-seeds": (lambda d: resolve_args("--seeds", "1,2", "--manifest", f"{d}/out.jsonl"),
+                      "out.seed2.jsonl"),
+    "distill-out": (lambda d: TestDistill().distill_args(d) + ["--out", f"{d}/out"], "out"),
+    "distill-drops": (lambda d: TestDistill().distill_args(
+        d, "--drops", f"{d}/missing/drops.json"), "missing/drops.json"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_is_refused_before_any_request(tmp_path, capsys, monkeypatch, case):
+    argv, bad = UNWRITABLE_OUTPUTS[case]
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out.seed2.jsonl").mkdir()
+    prompts = []
+    build_backend = cli._build_backend
+
+    class CountingBackend:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, prompt, params):
+            prompts.append(prompt)
+            return self.inner.complete(prompt, params)
+
+    monkeypatch.setattr(cli, "_build_backend", lambda *a: CountingBackend(build_backend(*a)))
+    assert run(argv(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert (len(prompts), out) == (0, "")
+    assert err.startswith("error: output path ") and err.rstrip().endswith(str(tmp_path / bad))
 
 
 # Each input flag: what its errors call the file, whether it is JSONL, and

@@ -1,6 +1,7 @@
 """End-to-end resolution, manifests, and replay."""
 import json
 import sys
+from dataclasses import replace
 import threading
 import time
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import FIXTURES
 
+from mice import pipeline
 from mice.combine import extract_prediction
 from mice.corpus import Dataset, Example, Span, from_json, load_corpus, sample_kshot, to_json
 from mice.distill import build_record
@@ -20,7 +22,7 @@ from mice.gateway import (
     RemoteEmbedder,
     WordTokenizer,
 )
-from mice.gating import HashingEmbedder
+from mice.gating import GatingDistribution, HashingEmbedder
 from mice.pipeline import (
     MANIFEST_SCHEMA,
     Combiner,
@@ -418,6 +420,31 @@ class TestSharedPrompts:
             assert [r.error for r in split_result.results] == [None, "shared prompt failed", None]
             assert split_result.backend_failures == 1
         assert len([prompt for prompt in calls if shared(prompt)]) == 1
+
+
+    def test_positions_sharing_a_generation_share_one_extraction(self, monkeypatch):
+        # The bench counts extraction through mice.pipeline.extract_prediction.
+        extracted, pooled = [], []
+        extract, combine = pipeline.extract_prediction, pipeline.combine_mice
+        monkeypatch.setattr(pipeline, "extract_prediction",
+                            lambda gen, *a, **kw: extracted.append(gen) or extract(gen, *a, **kw))
+        monkeypatch.setattr(pipeline, "combine_mice",
+                            lambda predictions, *a: pooled.append(predictions) or combine(
+                                predictions, *a))
+        both = Generation("water | brine", ("water", "|", "brine"),
+                          ({"water": 0.6, "salt": 0.4}, {"|": 1.0}, {"brine": 0.9, "x": 0.1}))
+        salt = Generation("salt", ("salt",), ({"salt": 0.7, "water": 0.3},))
+        shared = [both, salt, both, both]
+        args = ("doc:1:2", None, (5, 6, 7, 8), GatingDistribution.uniform((5, 6, 7, 8)))
+        config, tokenizer = RunConfig(combiner=Combiner.MICE), WordTokenizer()
+        from_shared = pipeline._finish(*args, shared, config, tokenizer)
+        assert extracted == [both, salt]
+        from_copies = pipeline._finish(*args, [replace(g) for g in shared], config, tokenizer)
+        assert len(extracted) == 2 + 4
+        assert [p.prompt_id for p in pooled[0]] == [5, 6, 7, 8]
+        assert pooled[0] == pooled[1]
+        assert from_shared.candidates == from_copies.candidates != ()
+        assert from_shared.generations == tuple(shared)
 
 
 class TestStreamedSplit:
