@@ -11,9 +11,10 @@ requests they are given. The HTTP completion client and the remote
 embedding client send their requests through one transport with one retry
 policy; no other module touches the network. The transport speaks HTTP/1.1
 itself on ``socket`` and ``ssl``: each client keeps at most
-``max_in_flight`` keep-alive connections to its endpoint, sends each
-request in one write, verifies TLS with the default ``ssl`` context,
-follows no redirects, and reads no proxy variables or ``~/.netrc``.
+``max_in_flight`` keep-alive connections to its endpoint, one per token
+of the queue that caps its requests in flight, sends each request in one
+write, verifies TLS with the default ``ssl`` context, follows no
+redirects, and reads no proxy variables or ``~/.netrc``.
 """
 from __future__ import annotations
 
@@ -442,32 +443,33 @@ class ProtocolError(OSError):
     """A reply that breaks HTTP/1.1 framing; retried like any other transport error."""
 
 
+def _line(reader: BinaryIO, what: str) -> bytes:
+    text = reader.readline(_MAX_LINE + 1)
+    if len(text) > _MAX_LINE:
+        raise ProtocolError(f"{what} line longer than {_MAX_LINE} bytes")
+    return text
+
+
+def _body(reader: BinaryIO, length: bytes, base: int = 10) -> bytes:
+    try:
+        size = int(length, base)
+    except ValueError:
+        size = -1
+    if size < 0 or len(data := reader.read(size)) < size:
+        raise ProtocolError(f"reply body does not match its length {length.strip()!r}")
+    return data
+
+
 def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
     """One reply's status, whether its connection can carry another request, and its body."""
-
-    def line(what: str) -> bytes:
-        text = reader.readline(_MAX_LINE + 1)
-        if len(text) > _MAX_LINE:
-            raise ProtocolError(f"{what} line longer than {_MAX_LINE} bytes")
-        return text
-
-    def body(length: bytes, base: int = 10) -> bytes:
-        try:
-            size = int(length, base)
-        except ValueError:
-            size = -1
-        if size < 0 or len(data := reader.read(size)) < size:
-            raise ProtocolError(f"reply body does not match its length {length.strip()!r}")
-        return data
-
     status = 100
     while status < 200:  # a 1xx reply is interim
-        if not (text := line("status")):
+        if not (text := _line(reader, "status")):
             raise RemoteDisconnected("Remote end closed connection without response")
         if not (match := _STATUS_RE.match(text)):
             raise ProtocolError(f"bad status line {text[:80]!r}")
         status, fields = int(match[2]), []
-        while (text := line("header")).strip():
+        while (text := _line(reader, "header")).strip():
             if len(fields) == _MAX_HEADERS:
                 raise ProtocolError(f"got more than {_MAX_HEADERS} headers")
             fields.append(text.partition(b":"))
@@ -479,19 +481,25 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
         return status, keep_alive, b""
     if headers.get(b"transfer-encoding") == b"chunked":
         chunks = []
-        while chunk := body(line("chunk size").partition(b";")[0], 16):
+        while chunk := _body(reader, _line(reader, "chunk size").partition(b";")[0], 16):
             chunks.append(chunk)
             if reader.read(2) != b"\r\n":
                 raise ProtocolError("chunk data not followed by CRLF")
-        while line("trailer").strip():  # the last-chunk's trailer, then a blank line
+        while _line(reader, "trailer").strip():  # the last-chunk's trailer, then a blank line
             pass
         return status, keep_alive, b"".join(chunks)
     if b"content-length" in headers:
-        return status, keep_alive, body(headers[b"content-length"])
+        return status, keep_alive, _body(reader, headers[b"content-length"])
     return status, False, reader.read()
 
 
-def _close(conn: tuple[socket.socket, BinaryIO]) -> None:
+# A pooled connection: its socket, the reader its replies are parsed from, its EOF poller.
+_Connection = tuple[socket.socket, BinaryIO, "select.poll"]
+# ``json.dumps`` with a non-default option builds an encoder per call.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _close(conn: _Connection) -> None:
     conn[1].close()
     conn[0].close()
 
@@ -510,13 +518,15 @@ class _JSONTransport:
     retried up to ``_MAX_ATTEMPTS`` times with exponential backoff; a
     certificate that fails verification, any other non-2xx response
     (redirects are not followed), or a 2xx body that ``decode`` rejects,
-    fails at once. A bounded semaphore caps in-flight requests, and with
-    them the open connections: a request takes an idle connection or, when
-    none is left, opens one, and hands it back unless the reply said
-    ``Connection: close``, was HTTP/1.0 without ``keep-alive``, or ran to
-    the connection's end. An idle connection the server has closed is
-    discarded before use, so it costs no attempt. Every failure is a
-    ``BackendError`` whose message starts with ``label``, naming the endpoint.
+    fails at once. A queue of ``max_in_flight`` tokens caps in-flight
+    requests, and with them the open connections: a request takes a token,
+    then an idle connection or, when none is left, opens one, and hands it
+    back unless the reply said ``Connection: close``, was HTTP/1.0 without
+    ``keep-alive``, or ran to the connection's end. An idle connection the
+    server has closed is discarded before use, so it costs no attempt; the
+    poller that checks it is built once, when the connection opens. Every
+    failure is a ``BackendError`` whose message starts with ``label``,
+    naming the endpoint.
     """
 
     def __init__(self, label: str, endpoint: str, token: Optional[str], timeout: float,
@@ -542,18 +552,21 @@ class _JSONTransport:
                       f"Content-Type: application/json\r\n{auth}").encode("latin-1")
         self._label = label
         self._sleep = sleep
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._idle: list[tuple[socket.socket, BinaryIO]] = []
+        # One token per request in flight; unlike a semaphore's, no Python code runs per take.
+        self._tokens: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(max_in_flight):
+            self._tokens.put(None)
+        self._idle: list[_Connection] = []
 
     def post(self, body: dict, decode: Callable):
         """Send ``body``; return ``decode`` applied to the JSON reply."""
-        payload = json.dumps(body, allow_nan=False).encode("utf-8")
+        payload = _ENCODER.encode(body).encode("utf-8")
+        request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(payload), payload)
         last_error: Optional[str] = None
         last_status: Optional[int] = None
         for attempt in range(1, _MAX_ATTEMPTS + 1):
             try:
-                with self._semaphore:
-                    status, data = self._round_trip(payload)
+                status, data = self._round_trip(request)
             except ssl.SSLCertVerificationError as exc:
                 # Retrying cannot make an untrusted certificate trusted.
                 raise BackendError(f"{self._label} failed: {type(exc).__name__}: {exc}",
@@ -582,23 +595,27 @@ class _JSONTransport:
             attempts=_MAX_ATTEMPTS, status=last_status,
         )
 
-    def _round_trip(self, payload: bytes) -> tuple[int, bytes]:
-        """POST ``payload`` on a pooled connection; return the status and the whole body."""
-        conn = self._checkout()
+    def _round_trip(self, request: bytes) -> tuple[int, bytes]:
+        """Send ``request`` on a pooled connection under a token; return the status and body."""
+        self._tokens.get()
         try:
-            conn[0].sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(payload), payload))
-            status, keep_alive, data = _read_reply(conn[1])
-        except BaseException:
-            _close(conn)
-            raise
-        if keep_alive:
-            self._idle.append(conn)
-        else:
-            _close(conn)
+            conn = self._checkout()
+            try:
+                conn[0].sendall(request)
+                status, keep_alive, data = _read_reply(conn[1])
+            except BaseException:
+                _close(conn)
+                raise
+            if keep_alive:  # pooled before the token is back, so no request opens one too many
+                self._idle.append(conn)
+            else:
+                _close(conn)
+        finally:
+            self._tokens.put(None)
         return status, data
 
-    def _checkout(self) -> tuple[socket.socket, BinaryIO]:
-        """An idle connection the server has not closed, or else a new one, with its reader."""
+    def _checkout(self) -> _Connection:
+        """An idle connection the server has not closed, or else a new one."""
         while True:
             try:
                 conn = self._idle.pop()
@@ -606,9 +623,7 @@ class _JSONTransport:
                 break
             # An idle socket that polls readable holds either EOF or bytes no
             # request asked for; either way it cannot carry the next request.
-            poller = select.poll()
-            poller.register(conn[0], select.POLLIN)
-            if not poller.poll(0):
+            if not conn[2].poll(0):
                 return conn
             _close(conn)
         sock = socket.create_connection(self._address, self._timeout)
@@ -616,7 +631,9 @@ class _JSONTransport:
         if self._tls is not None:
             # A failed handshake closes the socket it wrapped.
             sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
-        return sock, sock.makefile("rb")
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return sock, sock.makefile("rb"), poller
 
     def close(self) -> None:
         """Close the idle connections."""

@@ -346,8 +346,9 @@ def _assemble_split_result(results: Sequence[ResolutionResult]) -> SplitResult:
     )
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# A manifest payload is built fresh by ``to_json``, so it holds no cycle to check for.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                          check_circular=False).encode
 
 
 def write_manifest(
@@ -430,14 +431,20 @@ def _decode_header(header: dict) -> RunConfig:
 
 
 def _decode_entry(entry: dict) -> tuple:
-    """An entry's key, gold, prompt ids, gate, generations and error."""
-    gold = entry.get("gold")
+    """An entry's key, gold, prompt ids, gate, generations and error; the positions
+    that stored equal generations share one, so ``_finish`` extracts it once."""
+    gold, stored = entry.get("gold"), entry.get("generations") or ()
+    distinct: list = []
+    for generation in stored:
+        if generation not in distinct:
+            distinct.append(generation)
+    decoded = from_json(tuple[Generation, ...], distinct)
     weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
     return (
         entry["key"],
         tuple(gold) if gold is not None else None,
         tuple(entry.get("prompt_ids", ())),
         GatingDistribution(weights) if weights else None,
-        from_json(tuple[Generation, ...], entry.get("generations", ())),
+        tuple(decoded[distinct.index(generation)] for generation in stored),
         entry.get("error"),
     )

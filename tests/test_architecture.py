@@ -137,3 +137,13 @@ def test_only_the_codec_reads_type_hints():
         "corpus.py": {("_codec", "get_type_hints"), ("_codec", "get_origin"),
                       ("_codec", "get_args")},
     }
+
+
+def test_no_python_level_thread_synchronization():
+    # A semaphore, condition, event or barrier runs Python code (its
+    # Condition's wait and notify) to acquire and release, on the pool's
+    # workers for every request. The transport caps requests in flight with
+    # a queue.SimpleQueue of tokens, and a batch waits on a plain lock.
+    assert uses_by_module(
+        {"Semaphore", "BoundedSemaphore", "Condition", "Event", "Barrier"}, calls_only=True
+    ) == {}

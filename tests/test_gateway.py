@@ -5,6 +5,7 @@ The HTTP clients run against a scripted server on 127.0.0.1 (``serve``).
 import functools
 import json
 import math
+import select
 import socket
 import sys
 import threading
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from mice import gateway
 from mice.corpus import load_corpus
 from mice.gateway import (
     BackendError,
@@ -440,6 +442,37 @@ class TestTransport:
         assert [g.text for g in generations] == ["water"] * 24
         assert len(server.calls) == 24
         assert server.peak_open == 4
+
+    def test_the_in_flight_token_comes_back_on_every_exit_path(self, serve, monkeypatch):
+        # With one token, a request that kept it would block every later one.
+        backend, server, _ = http_backend(
+            serve, lambda call: DROP if call["json"]["prompt"] == "dropped" else 200,
+            max_in_flight=1)
+        dropped = outcome_within(lambda: backend.complete("dropped", DecodeParams.greedy()))
+        assert isinstance(dropped, BackendError) and dropped.attempts == 3
+
+        def interrupted(reader):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gateway, "_read_reply", interrupted)
+            stopped = outcome_within(lambda: backend.complete("stopped", DecodeParams.greedy()))
+        assert isinstance(stopped, KeyboardInterrupt)
+        good = outcome_within(lambda: backend.complete("good", DecodeParams.greedy()))
+        assert good.text == "water"
+        # "stopped" reaches the server too, on its own thread, so it may come in any order.
+        prompts = [call["json"]["prompt"] for call in server.calls]
+        assert [p for p in prompts if p != "stopped"] == ["dropped"] * 3 + ["good"]
+
+    def test_each_pooled_connection_builds_one_poller(self, serve, monkeypatch):
+        backend, server, _ = http_backend(serve, [200] * 5)
+        pollers = []
+        poll = select.poll
+        monkeypatch.setattr(select, "poll", lambda: pollers.append(poll()) or pollers[-1])
+        for i in range(5):
+            assert backend.complete(f"p{i}", DecodeParams.greedy()).text == "water"
+        assert server.connections == 1
+        assert len(pollers) == 1
 
     def test_body_is_the_golden_request_as_json_bytes(self, serve):
         backend, server, _ = http_backend(serve, [200])

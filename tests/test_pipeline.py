@@ -673,6 +673,31 @@ class TestManifest:
             assert again.candidates == original.candidates
             assert again.final == original.final
 
+    def test_replay_extracts_each_stored_generation_once(self, tmp_path, monkeypatch):
+        # Each example's 16 prompts hold 10 texts, answered by two generations,
+        # so every entry stores equal generations at several positions.
+        echo, decoy = echo_backend(), Generation("water", ("water",), ({"water": 1.0},))
+
+        class TwoAnswers:
+            def complete(self, prompt, params):
+                return echo.complete(prompt, params) if len(prompt) % 2 else decoy
+
+        split_result, path = self.run_and_write(tmp_path, "run.jsonl", backend=TwoAnswers())
+        entries = [json.loads(line) for line in path.read_text().splitlines()[1:-1]]
+        distinct = [{json.dumps(g, sort_keys=True) for g in e["generations"]} for e in entries]
+        assert [len(d) for d in distinct] == [2] * len(TEST3)
+        extracted = []
+        extract = pipeline.extract_prediction
+        monkeypatch.setattr(pipeline, "extract_prediction",
+                            lambda gen, *a, **kw: extracted.append(gen) or extract(gen, *a, **kw))
+        replayed, _ = replay_manifest(path)
+        assert len(extracted) == sum(map(len, distinct))
+        assert replayed.report == split_result.report
+        for original, again in zip(split_result.results, replayed.results):
+            assert again.generations == original.generations
+            assert again.candidates == original.candidates
+            assert again.final == original.final
+
     def test_schema_1_manifest_replays_with_default_template(self, tmp_path):
         split_result, path = self.run_and_write(tmp_path, "run.jsonl")
         header, *rest = path.read_text(encoding="utf-8").splitlines()
