@@ -294,6 +294,7 @@ def _check_outputs(*paths: Optional[str | Path]) -> None:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     rules = load_rules(args.rules) if args.rules else default_rules()
     if bool(args.docs) == bool(args.corpus):
         raise UsageError("pass exactly one of --docs or --corpus")
@@ -326,6 +327,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     train = load_corpus(args.train)
     sample = sample_kshot(train, args.k, args.seed)
     if args.out:
@@ -352,7 +354,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             sample = sample_kshot(train, args.k, seed)
             resolver = Resolver(config, sample, backend, embedder=embedder)
             result = resolver.resolve_split(test)
-            logger.info("seed %d: %d requests", seed, result.request_count)
+            logger.info("seed %d: %d prompts", seed, result.request_count)
             if args.manifest:
                 write_manifest(
                     result, config, sample,
@@ -412,6 +414,7 @@ def _decode_predictions(payload: dict) -> dict[str, list[str]]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _check_outputs(args.report)
     predictions = read_json(args.predictions, "predictions", _decode_predictions)
     gold = {ex.key: ex.gold_surfaces() for ex in load_corpus(args.corpus)}
     report = micro_f1(predictions, gold)
@@ -422,7 +425,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
-    _check_outputs(args.out, args.drops)
+    _check_outputs(args.out, args.drops, args.checkpoint)
     rules = load_rules(args.rules) if args.rules else default_rules()
     docs = load_unlabeled_docs(args.unlabeled)
     train = load_corpus(args.train)
@@ -447,6 +450,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    _check_outputs(args.report)
     result, _config = replay_manifest(args.manifest)
     _emit(_split_output(result), args.report)
     return 0

@@ -4,17 +4,17 @@ Two backends share one interface: a scripted in-process mock for tests and
 offline runs, and an HTTP client speaking a completion wire protocol. Both
 return ``Generation`` objects carrying the generated text, its tokens, and
 per-token top-probability maps so downstream combiners never need to call
-the model again. Backend calls fan out only through ``RequestPool``, which
-the resolver shares across a split and whose threads read one queue, and
-``complete_many``, which sends one batch and waits; both send exactly the
-requests they are given. The HTTP completion client and the remote
-embedding client send their requests through one transport with one retry
-policy; no other module touches the network. The transport speaks HTTP/1.1
-itself on ``socket`` and ``ssl``: each client keeps at most
-``max_in_flight`` keep-alive connections to its endpoint, one per token
-of the queue that caps its requests in flight, sends each request in one
-write, verifies TLS with the default ``ssl`` context, follows no
-redirects, and reads no proxy variables or ``~/.netrc``.
+the model again. Only the workers of a ``RequestPool`` call a backend: the
+resolver shares one pool across a split, and ``complete_many`` sends one
+batch through a pool of its own; both send exactly the requests they are
+given. The HTTP completion client and the remote embedding client send
+their requests through one transport with one retry policy; no other
+module touches the network. The transport speaks HTTP/1.1 itself on
+``socket`` and ``ssl``: each client keeps at most ``max_in_flight``
+keep-alive connections to its endpoint, one per token of the queue that
+caps its requests in flight, sends each request in one write, verifies
+TLS with the default ``ssl`` context, follows no redirects, and reads no
+proxy variables or ``~/.netrc``.
 """
 from __future__ import annotations
 
@@ -784,15 +784,11 @@ def complete_many(
     """Send every ``(prompt, params)`` request to the backend, preserving order.
 
     Requests are sent as given, duplicates included; merging requests that
-    may share a generation is the caller's choice. Results come back
-    indexed by position regardless of completion order, so downstream
-    aggregation never depends on thread scheduling. A single request, or a
-    ``parallelism`` of 1, is sent on the calling thread; otherwise the
-    batch goes through a ``RequestPool`` of its own, which finishes the
-    requests in flight and drops the rest before a failure is raised.
+    may share a generation is the caller's choice. The batch goes through
+    a ``RequestPool`` of its own at every ``parallelism`` and size, so
+    results come back by position regardless of completion order, the
+    first failure in queue order is raised, and requests not yet started
+    when a request fails are not sent.
     """
-    if parallelism <= 1 or len(requests) <= 1:
-        # Not a one-worker pool: its thread hand-off made 10,000 mock draws ~1.1x slower.
-        return [backend.complete(prompt, params) for prompt, params in requests]
     with RequestPool(backend, parallelism) as pool:
         return pool.submit(requests)()

@@ -300,7 +300,7 @@ def _finish(
     """
     extracted: dict[int, PromptPrediction] = {}
     predictions = []
-    for pid, gen in zip(prompt_ids, generations):
+    for pid, gen in zip(prompt_ids, generations, strict=True):
         if id(gen) not in extracted:
             extracted[id(gen)] = extract_prediction(gen, config.template, tokenizer, prompt_id=pid)
         p = extracted[id(gen)]
@@ -393,31 +393,30 @@ def write_manifest(
 def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
     """Recompute every final prediction from a manifest, no backend calls.
 
-    Generations, gating weights, and the configuration are read back;
-    extraction, combination, and filtering run again from those stored
-    values. The returned result carries freshly computed candidates and
-    finals plus a recomputed score report.
+    The file is read in one pass, line by line: each entry's generations
+    and gating weights are read back and its extraction, combination, and
+    filtering run again at once, under the configuration of the nearest
+    header above it, so a malformed entry fails naming its line. The
+    returned result carries freshly computed candidates and finals plus a
+    recomputed score report; the configuration is the last header's.
     """
-    records = read_json(path, "manifest", _decode_record, lines=True)
-    headers = [value for kind, value in records if kind == "header"]
-    if not headers:
-        raise CorpusError(f"manifest {path} has no header")
-    config = headers[-1]
-    entries = [value for kind, value in records if kind == "entry"]
+    configs: list[RunConfig] = []
     tokenizer = WordTokenizer()
-    results = [
-        _failed(key, gold, error) if error or not generations
-        else _finish(key, gold, prompt_ids, gating, generations, config, tokenizer)
-        for key, gold, prompt_ids, gating, generations, error in entries
-    ]
-    return _assemble_split_result(results), config
 
+    def replay(record: dict) -> Optional[ResolutionResult]:
+        kind = record.get("record")
+        if kind == "header":
+            configs.append(_decode_header(record))
+        elif kind == "entry":
+            if not configs:
+                raise ValueError("no header before this entry")
+            return _replay_entry(record, configs[-1], tokenizer)
+        return None
 
-def _decode_record(record: dict) -> tuple[str, object]:
-    """A manifest line's kind and its decoded header or entry (``None`` otherwise)."""
-    kind = record.get("record")
-    decode = {"header": _decode_header, "entry": _decode_entry}.get(kind)
-    return kind, decode(record) if decode else None
+    results = [r for r in read_json(path, "manifest", replay, lines=True) if r is not None]
+    if not configs:
+        raise CorpusError(f"manifest {path} has no header")
+    return _assemble_split_result(results), configs[-1]
 
 
 def _decode_header(header: dict) -> RunConfig:
@@ -430,21 +429,21 @@ def _decode_header(header: dict) -> RunConfig:
     return from_json(RunConfig, config_json)
 
 
-def _decode_entry(entry: dict) -> tuple:
-    """An entry's key, gold, prompt ids, gate, generations and error; the positions
-    that stored equal generations share one, so ``_finish`` extracts it once."""
-    gold, stored = entry.get("gold"), entry.get("generations") or ()
+def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> ResolutionResult:
+    """An entry finished again from its stored generations; the positions that
+    stored equal generations share one, so ``_finish`` extracts it once."""
+    key, gold, stored = entry["key"], entry.get("gold"), entry.get("generations") or ()
+    gold = tuple(gold) if gold is not None else None
     distinct: list = []
     for generation in stored:
         if generation not in distinct:
             distinct.append(generation)
     decoded = from_json(tuple[Generation, ...], distinct)
     weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
-    return (
-        entry["key"],
-        tuple(gold) if gold is not None else None,
-        tuple(entry.get("prompt_ids", ())),
+    if entry.get("error") or not stored:
+        return _failed(key, gold, entry.get("error"))
+    return _finish(
+        key, gold, tuple(entry.get("prompt_ids", ())),
         GatingDistribution(weights) if weights else None,
-        tuple(decoded[distinct.index(generation)] for generation in stored),
-        entry.get("error"),
+        [decoded[distinct.index(generation)] for generation in stored], config, tokenizer,
     )

@@ -97,6 +97,16 @@ def test_one_thread_pool():
     }
 
 
+def test_only_the_pool_calls_a_backend():
+    # Every backend call, complete_many's at any parallelism too, is made on a
+    # RequestPool worker, so the failure and cancel contract (results by
+    # position, the first failure in queue order, unstarted requests not
+    # sent) lives in one place.
+    assert uses_by_module({"complete"}, calls_only=True) == {
+        "gateway.py": {("_work", "complete")},
+    }
+
+
 def test_one_request_plan():
     # The resolver plans each example's requests, kate-plus's seeded draws
     # too, and sends them through the pool of its one streamed loop,

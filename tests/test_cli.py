@@ -21,7 +21,8 @@ from mice.cli import run
 from mice.corpus import load_corpus, sample_kshot
 from mice.distill import load_records
 from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
-from mice.pipeline import replay_manifest
+from mice.pipeline import Resolver, RunConfig, replay_manifest, write_manifest
+from mice.prompts import Template
 
 from support import Reply
 
@@ -504,6 +505,45 @@ class TestReplay:
         assert err.startswith(f"error: manifest {manifest} line 2: ")
         assert detail in err
 
+    @staticmethod
+    def edit_entry(edit):
+        """A corruption of the manifest's lines that applies ``edit`` to the first entry."""
+        def corrupt(lines):
+            entry = json.loads(lines[1])
+            edit(entry)
+            return [lines[0], json.dumps(entry), *lines[2:]]
+        return corrupt
+
+    @staticmethod
+    def rekey_a_gate_weight(entry):
+        # The weights still sum to 1, but one prompt id has none.
+        gating = entry["gating"]
+        gating[str(max(entry["prompt_ids"]) + 1)] = gating.pop(str(entry["prompt_ids"][0]))
+
+    @pytest.mark.parametrize(
+        "corrupt, line",
+        [
+            (edit_entry(lambda entry: entry.update(gating=None)), 2),
+            (edit_entry(rekey_a_gate_weight), 2),
+            (edit_entry(lambda entry: entry["prompt_ids"].pop()), 2),
+            (edit_entry(lambda entry: entry["generations"][0].update(text=5)), 2),
+            (lambda lines: [lines[1], lines[0], *lines[2:]], 1),
+        ],
+        ids=["mice-s-gating-null", "gating-without-a-prompt-id", "prompt-ids-short",
+             "generation-text-not-a-string", "entry-above-the-header"],
+    )
+    def test_unreplayable_entry_names_file_and_line(self, tmp_path, capsys, corrupt, line):
+        # Each line still parses as JSON, but its entry cannot be replayed as stored.
+        manifest = self.make_manifest(tmp_path)
+        lines = corrupt(manifest.read_text(encoding="utf-8").splitlines())
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["replay", "--manifest", str(manifest)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: manifest {manifest} line {line}: "), err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestDistill:
     def distill_args(self, tmp_path, *extra):
@@ -662,7 +702,34 @@ UNWRITABLE_OUTPUTS = {
     "distill-out": (lambda d: TestDistill().distill_args(d) + ["--out", f"{d}/out"], "out"),
     "distill-drops": (lambda d: TestDistill().distill_args(
         d, "--drops", f"{d}/missing/drops.json"), "missing/drops.json"),
+    "distill-checkpoint": (lambda d: TestDistill().distill_args(
+        d, "--checkpoint", f"{d}/out"), "out"),
+    "replay-report": (lambda d: ["replay", "--manifest", library_manifest(d),
+                                 "--report", f"{d}/out"], "out"),
+    "eval-report": (lambda d: ["eval", "--predictions", written(
+        d / "p.json", json.dumps(TestEval().gold_predictions())),
+        "--corpus", CLI_TEST, "--report", f"{d}/out"], "out"),
+    "sample-out": (lambda d: ["sample", "--train", TRAIN, "--k", "1", "--seed", "1",
+                              "--out", f"{d}/out"], "out"),
+    "detect-out": (lambda d: ["detect", "--docs", UNLABELED, "--out", f"{d}/missing/d.jsonl"],
+                   "missing/d.jsonl"),
 }
+
+
+def written(path, text):
+    """``path``, once ``text`` is written to it."""
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def library_manifest(directory):
+    """A mice-s manifest on cli_test.jsonl, written without the CLI, so that
+    neither its output nor its backend counts in the run under test."""
+    sample = sample_kshot(load_corpus(TRAIN), 4, 1)
+    resolver = Resolver(RunConfig(), sample, MockBackend.from_fixture(ECHO, Template()))
+    result = resolver.resolve_split(load_corpus(CLI_TEST))
+    write_manifest(result, resolver.config, sample, directory / "manifest.jsonl")
+    return str(directory / "manifest.jsonl")
 
 
 @pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
