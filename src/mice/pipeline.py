@@ -10,7 +10,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, pairwise
+from itertools import chain, islice, pairwise
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence
 
@@ -53,6 +53,9 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_SCHEMA = "mice-manifest/2"
 _SCHEMA_V1 = "mice-manifest/1"
+
+# The streamed loop plans this many examples back to back, one group ahead.
+_PLAN_AHEAD = 8
 
 
 class Combiner(str, Enum):
@@ -202,8 +205,9 @@ class Resolver:
         self, examples: Iterable[Example]
     ) -> Generator[ResolutionResult | Exception, None, None]:
         """Yield each example's result, or the ``PromptBudgetError`` or
-        ``BackendError`` that failed it, in order. Example i+1 is planned and
-        its requests queued in one shared pool before example i is finished.
+        ``BackendError`` that failed it, in order. Examples are planned and
+        their requests queued in one shared pool in groups of ``_PLAN_AHEAD``,
+        and group g+1 is started before any example of group g is finished.
         Closing the loop early cancels the requests that have not started.
         """
         with RequestPool(self.backend, self.config.parallelism) as pool:
@@ -216,13 +220,16 @@ class Resolver:
                 wait = pool.submit(requests)
                 return lambda: finish(wait())
 
-            # pairwise starts example i+1 before it hands out example i.
-            for started, _ in pairwise(chain(map(start, examples), [None])):
-                try:
-                    outcome = started if isinstance(started, Exception) else started()
-                except (PromptBudgetError, BackendError) as exc:
-                    outcome = exc
-                yield outcome
+            rest = iter(examples)
+            groups = iter(lambda: [start(example) for example in islice(rest, _PLAN_AHEAD)], [])
+            # pairwise starts group g+1 before it hands out group g.
+            for group, _ in pairwise(chain(groups, [None])):
+                for started in group:
+                    try:
+                        outcome = started if isinstance(started, Exception) else started()
+                    except (PromptBudgetError, BackendError) as exc:
+                        outcome = exc
+                    yield outcome
 
     def _plan(self, test: Example) -> tuple[
         list[tuple[str, DecodeParams]], Callable[[Sequence[Generation]], ResolutionResult]
@@ -442,8 +449,12 @@ def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> Resol
     weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
     if entry.get("error") or not stored:
         return _failed(key, gold, entry.get("error"))
+    prompt_ids = tuple(entry.get("prompt_ids", ()))
+    if len(prompt_ids) != len(stored):
+        raise ValueError(f"{len(prompt_ids)} prompt ids for {len(stored)} generations")
+    if weights and (unweighted := [pid for pid in prompt_ids if pid not in weights]):
+        raise ValueError(f"gating has no weight for prompt id {unweighted[0]}")
     return _finish(
-        key, gold, tuple(entry.get("prompt_ids", ())),
-        GatingDistribution(weights) if weights else None,
+        key, gold, prompt_ids, GatingDistribution(weights) if weights else None,
         [decoded[distinct.index(generation)] for generation in stored], config, tokenizer,
     )

@@ -18,8 +18,11 @@ budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import reduce
+from itertools import permutations
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +33,8 @@ from .gateway import Tokenizer
 # Top-gated selection ranks universes up to this size; seeded-random
 # selection works at any size.
 _RANKING_CAP = 1_000_000
+# Smaller universes rank whole faster than the pruned ranking sets up.
+_PRUNE_FROM = 10_000
 
 
 class PromptBudgetError(ValueError):
@@ -231,10 +236,57 @@ def _top_gated_scores(k: int, d: int, similarities: Sequence[float]) -> np.ndarr
     return score
 
 
+def _radices(k: int, d: int) -> tuple[int, ...]:
+    """The mixed radix of universe indices: each digit picks one of the demos
+    that the positions before it leave free."""
+    return tuple(k - pos for pos in range(d)) if d > 2 else (k,) * d
+
+
+def _decode(us: np.ndarray, k: int, d: int) -> np.ndarray:
+    """``tuple_from_universe_index`` of each index: one row of demo indices per index."""
+    rows = np.array(np.unravel_index(us, _radices(k, d))).T
+    if d > 2:  # right to left, each pick moves the later picks at or above it up one
+        for pos in range(d - 2, -1, -1):
+            tail = rows[:, pos + 1:]
+            tail += tail >= rows[:, pos, None]
+    return rows
+
+
+def _encode(rows: np.ndarray, k: int) -> np.ndarray:
+    """``universe_index_from_tuple`` of each row: ``_decode`` undone."""
+    d = rows.shape[1]
+    if d > 2:
+        rows = rows.copy()
+        for pos in range(d - 1):
+            tail = rows[:, pos + 1:]
+            tail -= tail > rows[:, pos, None]
+    return np.ravel_multi_index(tuple(rows.T), _radices(k, d))
+
+
+def _outside_bound(descending: np.ndarray, m: int, d: int) -> float:
+    """The highest score of a tuple that holds a demo outside the m most similar.
+
+    Sorted by similarity, such a tuple's similarities sit at or below the
+    d - 1 highest (the highest each, when demos repeat) followed by the
+    (m + 1)-th highest. Float addition is monotone, so that list, summed in
+    the order the tuple holds it, bounds its score; the largest sum over
+    every order bounds every such tuple.
+    """
+    heads = descending[: d - 1] if d > 2 else np.repeat(descending[:1], d - 1)
+    return max(reduce(add, order, 0.0) for order in permutations([*heads, descending[m]]))
+
+
 def _select_universe_indices(
     k: int, config: PromptSetConfig, similarities: Sequence[float]
 ) -> list[int]:
-    """Pick which demo tuples become prompts, returned sorted ascending."""
+    """Pick which demo tuples become prompts, returned sorted ascending.
+
+    From ``_PRUNE_FROM`` tuples on, top-gated selection ranks only the
+    tuples of the m most similar demos: m starts at twice the smallest count
+    whose tuples can fill the selection and doubles until no tuple holding
+    another demo can reach the n-th best score. Below that size, or at
+    m = k, it ranks the whole universe.
+    """
     d = config.demos_per_prompt
     total = universe_size(k, d)
     n = min(config.max_prompts, total)
@@ -248,12 +300,24 @@ def _select_universe_indices(
         return list(range(total))
     if not top_gated:
         return sorted(seeded_prefix(total, n, [config.seed]))
-    key = np.negative(_top_gated_scores(k, d, similarities))
-    nth = np.partition(key, n - 1)[n - 1]
+    sims = np.asarray(similarities, dtype=float)
+    ranked = np.argsort(-sims, kind="stable")
+    m = next(size for size in range(1, k + 1) if universe_size(size, d) >= n)
+    m = 2 * m if total >= _PRUNE_FROM and np.isfinite(sims).all() else k
+    while True:
+        m = min(m, k)
+        demos = np.sort(ranked[:m])  # ascending, so local tuples keep universe order
+        key = np.negative(_top_gated_scores(m, d, sims[demos]))
+        nth = np.partition(key, n - 1)[n - 1]
+        if m == k or _outside_bound(sims[ranked], m, d) < -nth:
+            break
+        m *= 2
     # Stable-sort only the tuples at or above the n-th best score: ties go to
     # the lower universe index, and NaN keys, never `> nth`, rank last.
     contenders = np.flatnonzero(~(key > nth))
     best = contenders[np.argsort(key[contenders], kind="stable")[:n]]
+    if m < k:  # local tuple indices to universe indices
+        best = _encode(demos[_decode(best, m, d)], k)
     return sorted(best.tolist())
 
 
@@ -310,18 +374,30 @@ def enumerate_prompts(
     k = sample.k
     if len(similarities) != k:
         raise ValueError(f"{len(similarities)} similarities for k={k}")
-    d = config.demos_per_prompt
+    selected = _select_universe_indices(k, config, similarities)
+    rows = _decode(np.array(selected, dtype=np.int64), k, config.demos_per_prompt)
+    sims = np.asarray(similarities, dtype=float)
+    if config.ordering is Ordering.MIXED or np.isnan(sims).any():
+        orders = [
+            order_demonstrations(row, similarities, config.ordering, config.seed, u)
+            for row, u in zip(rows.tolist(), selected)
+        ]
+    else:
+        # A stable sort keeps tied demos in tuple order, as order_demonstrations does.
+        gated = sims[rows] if config.ordering is Ordering.ASCEND else -sims[rows]
+        rows = rows[np.arange(len(rows))[:, None], np.argsort(gated, axis=1, kind="stable")]
+        orders = list(map(tuple, rows.tolist()))
     built: dict[tuple[int, ...], Prompt] = {}
     prompts = []
-    for prompt_id, u in enumerate(_select_universe_indices(k, config, similarities)):
-        ordered = order_demonstrations(
-            tuple_from_universe_index(u, k, d), similarities, config.ordering, config.seed, u
-        )
-        if ordered not in built:
-            built[ordered] = _build_prompt(
+    for prompt_id, (u, ordered) in enumerate(zip(selected, orders)):
+        b = built.get(ordered)
+        if b is None:
+            b = built[ordered] = _build_prompt(
                 prompt_id, u, ordered, sample, test, config, similarities, template, tokenizer
             )
-        prompts.append(replace(built[ordered], prompt_id=prompt_id, universe_index=u))
+        prompts.append(
+            Prompt(prompt_id, u, b.demo_indices, b.text, b.token_count, b.dropped_demo_indices)
+        )
     return prompts
 
 

@@ -544,6 +544,22 @@ class TestReplay:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (rekey_a_gate_weight, "gating has no weight for prompt id 0"),
+            (lambda entry: entry["prompt_ids"].pop(), "15 prompt ids for 16 generations"),
+        ],
+        ids=["gating-without-a-prompt-id", "prompt-ids-short"],
+    )
+    def test_unreplayable_entry_says_what_is_wrong(self, tmp_path, capsys, edit, detail):
+        manifest = self.make_manifest(tmp_path)
+        lines = self.edit_entry(edit)(manifest.read_text(encoding="utf-8").splitlines())
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["replay", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: manifest {manifest} line 2: {detail}\n"
+
 
 class TestDistill:
     def distill_args(self, tmp_path, *extra):

@@ -578,15 +578,48 @@ class TestStreamedSplit:
             Resolver(config, SAMPLE, BrokenBackend()).resolve_split(TEST3)
         assert [t for t in threading.enumerate() if t not in before] == []
         assert threading.active_count() == len(before)
-        # Example 0 stops at its first failure, example 1's queued requests
-        # are cancelled, and example 2 is never started.
+        # Example 0 stops at its first failure, and the queued requests of
+        # examples 1 and 2, planned in the same group, are cancelled.
         assert sent[0] == 1
         assert sent[1] <= 1
         assert sent[2] == 0
 
 
+class CountingEmbedder:
+    """An embedder that counts its calls: the streamed loop embeds each example once."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return self._inner.embed(texts)
+
+
 class TestIterResults:
     """The one streamed loop that resolve_split and mice distill consume."""
+
+    @staticmethod
+    def counted_loop(count):
+        resolver, _ = streaming_setup(Combiner.MICE_S)
+        resolver.embedder = CountingEmbedder(resolver.embedder)
+        split = Dataset(SYNTH_TEST.examples[:count], "synthetic")
+        return resolver.embedder, resolver.iter_results(split)
+
+    def test_plans_one_group_ahead(self):
+        embedder, loop = self.counted_loop(5 * pipeline._PLAN_AHEAD)
+        next(loop)
+        assert pipeline._PLAN_AHEAD < embedder.calls <= 2 * pipeline._PLAN_AHEAD
+        assert len(list(loop)) == 5 * pipeline._PLAN_AHEAD - 1
+        assert embedder.calls == 5 * pipeline._PLAN_AHEAD
+
+    def test_closing_after_the_first_result_plans_no_further_group(self):
+        embedder, loop = self.counted_loop(5 * pipeline._PLAN_AHEAD)
+        assert next(loop).error is None
+        planned = embedder.calls
+        loop.close()
+        assert embedder.calls == planned <= 2 * pipeline._PLAN_AHEAD
 
     def test_yields_scored_surfaces(self):
         resolver = Resolver(RunConfig(), SAMPLE, echo_backend())

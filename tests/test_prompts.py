@@ -1,10 +1,14 @@
 """Prompt templating, demonstration-tuple universes, and budget packing."""
 import tracemalloc
+from dataclasses import replace
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mice import prompts
 from mice.combine import extract_prediction
 from mice.corpus import Dataset, load_corpus, sample_kshot
 from mice.gateway import Generation, WordTokenizer
@@ -15,6 +19,8 @@ from mice.prompts import (
     PromptSetConfig,
     Selection,
     Template,
+    _decode,
+    _encode,
     _select_universe_indices,
     _top_gated_scores,
     enumerate_prompts,
@@ -42,14 +48,18 @@ def parse(template, generated):
 
 
 def reference_top_gated(k, d, max_prompts, similarities):
-    """Top-gated selection as a plain sort of (-summed similarity, index)."""
+    """Top-gated selection as a plain sort of (-summed similarity, index);
+    NaN sums rank last."""
     total = universe_size(k, d)
-    scores = [
-        (-sum(similarities[i] for i in tuple_from_universe_index(u, k, d)), u)
-        for u in range(total)
+    sums = [
+        sum(similarities[i] for i in tuple_from_universe_index(u, k, d)) for u in range(total)
     ]
-    scores.sort()
-    return sorted(u for _, u in scores[: min(max_prompts, total)])
+
+    def rank(u):
+        nan = sums[u] != sums[u]
+        return nan, 0.0 if nan else -sums[u], u
+
+    return sorted(sorted(range(total), key=rank)[: min(max_prompts, total)])
 
 
 class TestTokenizer:
@@ -148,6 +158,16 @@ class TestUniverse:
         u = data.draw(st.integers(0, total - 1))
         combo = tuple_from_universe_index(u, k, d)
         assert universe_index_from_tuple(combo, k) == u
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_array_decode_and_encode_match_the_scalar_helpers(self, d):
+        for k in range(1 if d <= 2 else d, 8):
+            total = universe_size(k, d)
+            rows = _decode(np.arange(total), k, d)
+            assert [tuple(row) for row in rows.tolist()] == [
+                tuple_from_universe_index(u, k, d) for u in range(total)
+            ]
+            assert _encode(rows, k).tolist() == list(range(total))
 
     def test_round_trip_is_lexicographic_for_distinct_tuples(self):
         combos = [tuple_from_universe_index(u, 4, 3) for u in range(universe_size(4, 3))]
@@ -249,6 +269,31 @@ class TestSelection:
             k, d, max_prompts, sims
         )
 
+    # Exact ties and zeros, negatives, and magnitudes far apart.
+    SIMILARITY = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.2]),
+        st.floats(-1, 1),
+        st.floats(-1e12, 1e12),
+        st.floats(-1e-12, 1e-12),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12) | st.integers(9, 12), st.integers(1, 4), st.data())
+    def test_pruned_ranking_matches_reference_sort(self, k, d, data):
+        d = min(d, k) if d > 2 else d
+        total = universe_size(k, d)
+        # A few prompts out of many is where the ranking can be pruned.
+        max_prompts = data.draw(
+            st.integers(1, 8) | st.integers(1, total + 5), label="max_prompts"
+        )
+        sims = data.draw(st.lists(self.SIMILARITY, min_size=k, max_size=k), label="sims")
+        if data.draw(st.booleans(), label="with a NaN"):
+            sims[data.draw(st.integers(0, k - 1), label="NaN at")] = float("nan")
+        config = PromptSetConfig(demos_per_prompt=d, max_prompts=max_prompts)
+        with patch.object(prompts, "_PRUNE_FROM", 0):  # prune universes of any size
+            picks = _select_universe_indices(k, config, sims)
+        assert picks == reference_top_gated(k, d, max_prompts, sims)
+
     # (k, demos, max prompts, similarities) -> the top-gated selection; several
     # tuples tie at the n-th best score in each.
     TIED_PICKS = {
@@ -339,6 +384,23 @@ class TestSelection:
             tracemalloc.stop()
         assert peak < 18_000_000
         assert abs(after - before) < 1_000_000
+
+    @pytest.mark.parametrize("max_prompts", [32, 256])
+    def test_top_gated_ranks_only_the_most_similar_demos(self, max_prompts):
+        # k=32, d=4: ranking all 863,040 tuples peaks at ~15.5 MB. With
+        # distinct similarities, the tuples of the 10 or 12 most similar
+        # demos settle the selection.
+        config = PromptSetConfig(demos_per_prompt=4, max_prompts=max_prompts)
+        sims = [((i * 7) % 32) / 32 for i in range(32)]
+        tracemalloc.start()
+        try:
+            picks = _select_universe_indices(32, config, sims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        key = -_top_gated_scores(32, 4, sims)
+        assert picks == sorted(np.argsort(key, kind="stable")[:max_prompts].tolist())
 
     def test_seeded_random_differs_by_seed(self):
         sample = tiny_sample()
@@ -480,6 +542,15 @@ class TestBuildOnce:
         )
         assert prompts == reference_prompts(self.SAMPLE, self.TEST, config, self.SIMS)
         assert any(p.dropped_demo_indices for p in prompts) == (budget < 2048)
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_nan_similarity_orders_as_the_scalar_helper_does(self, d, ordering):
+        # A NaN has no place in a sort; the build must still follow order_demonstrations.
+        sims = [0.3, float("nan"), 0.3, 0.2, 0.5]
+        config = replace(self.config(d, ordering), max_prompts=125)
+        built = enumerate_prompts(self.SAMPLE, self.TEST, config, sims, Template(), TOK)
+        assert built == reference_prompts(self.SAMPLE, self.TEST, config, sims)
 
 
 class TestKatePrompt:
