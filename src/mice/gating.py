@@ -91,10 +91,10 @@ class GatingDistribution:
         if not self.weights:
             raise ValueError("gating distribution must cover at least one prompt")
         total = sum(self.weights.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"gating weights sum to {total}, expected 1")
         for pid, w in self.weights.items():
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError(f"negative weight for prompt {pid}")
 
     def __getitem__(self, prompt_id: int) -> float:

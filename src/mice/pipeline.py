@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, islice, pairwise
@@ -173,7 +174,11 @@ class Resolver:
                 f"embedding of {test.key} has shape {test_vector.shape}, "
                 f"the demonstrations' {self._demo_vectors.shape[1:]}"
             )
-        return [float(s) for s in similarities(test_vector, self._demo_vectors, self._demo_norms)]
+        sims = [float(s) for s in similarities(test_vector, self._demo_vectors, self._demo_norms)]
+        for i, s in enumerate(sims):
+            if not math.isfinite(s):
+                raise BackendError(f"similarity of {test.key} to demonstration {i} is {s}")
+        return sims
 
     def _effective_prompt_config(self) -> PromptSetConfig:
         if self.config.combiner is Combiner.PRODUCT:

@@ -11,6 +11,7 @@ changes nothing:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,10 +31,10 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.max_antecedent_tokens < 1:
             raise ValueError("max_antecedent_tokens must be positive")
-        if self.per_prompt_threshold < 0.0:
-            raise ValueError("per_prompt_threshold must be non-negative")
-        if self.combined_threshold < 0.0:
-            raise ValueError("combined_threshold must be non-negative")
+        if not 0.0 <= self.per_prompt_threshold < math.inf:
+            raise ValueError("per_prompt_threshold must be finite and non-negative")
+        if not 0.0 <= self.combined_threshold < math.inf:
+            raise ValueError("combined_threshold must be finite and non-negative")
 
     @classmethod
     def permissive(cls) -> "FilterConfig":

@@ -33,8 +33,6 @@ from .gateway import Tokenizer
 # Top-gated selection ranks universes up to this size; seeded-random
 # selection works at any size.
 _RANKING_CAP = 1_000_000
-# Smaller universes rank whole faster than the pruned ranking sets up.
-_PRUNE_FROM = 10_000
 
 
 class PromptBudgetError(ValueError):
@@ -164,59 +162,6 @@ def universe_size(k: int, d: int) -> int:
     return size
 
 
-def tuple_from_universe_index(u: int, k: int, d: int) -> tuple[int, ...]:
-    """Decode a universe index into its demo-index tuple (lexicographic)."""
-    if d <= 2:
-        digits = []
-        for _ in range(d):
-            digits.append(u % k)
-            u //= k
-        return tuple(reversed(digits))
-    available = list(range(k))
-    out: list[int] = []
-    block = universe_size(k, d)
-    for pos in range(d):
-        block //= k - pos
-        idx, u = divmod(u, block)
-        out.append(available.pop(idx))
-    return tuple(out)
-
-
-def universe_index_from_tuple(demo_indices: Sequence[int], k: int) -> int:
-    """Inverse of tuple_from_universe_index."""
-    d = len(demo_indices)
-    if d <= 2:
-        u = 0
-        for i in demo_indices:
-            u = u * k + i
-        return u
-    available = list(range(k))
-    u = 0
-    for pos, value in enumerate(demo_indices):
-        idx = available.index(value)
-        u = u * (k - pos) + idx
-        available.pop(idx)
-    return u
-
-
-def order_demonstrations(
-    demo_indices: Sequence[int],
-    similarities: Sequence[float],
-    ordering: Ordering,
-    seed: int,
-    universe_index: int,
-) -> tuple[int, ...]:
-    """Arrange one prompt's demos; the mixed order is seeded per prompt."""
-    d = len(demo_indices)
-    if ordering is Ordering.ASCEND:
-        positions = sorted(range(d), key=lambda p: (similarities[demo_indices[p]], p))
-    elif ordering is Ordering.DESCEND:
-        positions = sorted(range(d), key=lambda p: (-similarities[demo_indices[p]], p))
-    else:
-        positions = seeded_prefix(d, d, [seed, universe_index])
-    return tuple(demo_indices[p] for p in positions)
-
-
 def _top_gated_scores(k: int, d: int, similarities: Sequence[float]) -> np.ndarray:
     """Each tuple's similarities summed left to right, as sum() does, in universe order.
 
@@ -243,7 +188,7 @@ def _radices(k: int, d: int) -> tuple[int, ...]:
 
 
 def _decode(us: np.ndarray, k: int, d: int) -> np.ndarray:
-    """``tuple_from_universe_index`` of each index: one row of demo indices per index."""
+    """Each universe index's demo tuple, one row per index (universe order is lexicographic)."""
     rows = np.array(np.unravel_index(us, _radices(k, d))).T
     if d > 2:  # right to left, each pick moves the later picks at or above it up one
         for pos in range(d - 2, -1, -1):
@@ -253,7 +198,7 @@ def _decode(us: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def _encode(rows: np.ndarray, k: int) -> np.ndarray:
-    """``universe_index_from_tuple`` of each row: ``_decode`` undone."""
+    """Each row's universe index: ``_decode`` undone."""
     d = rows.shape[1]
     if d > 2:
         rows = rows.copy()
@@ -281,11 +226,10 @@ def _select_universe_indices(
 ) -> list[int]:
     """Pick which demo tuples become prompts, returned sorted ascending.
 
-    From ``_PRUNE_FROM`` tuples on, top-gated selection ranks only the
-    tuples of the m most similar demos: m starts at twice the smallest count
-    whose tuples can fill the selection and doubles until no tuple holding
-    another demo can reach the n-th best score. Below that size, or at
-    m = k, it ranks the whole universe.
+    Top-gated selection ranks only the tuples of the m most similar demos:
+    m starts at twice the smallest count whose tuples can fill the selection
+    and doubles until no tuple holding another demo can reach the n-th best
+    score. At m = k it ranks the whole universe.
     """
     d = config.demos_per_prompt
     total = universe_size(k, d)
@@ -302,8 +246,7 @@ def _select_universe_indices(
         return sorted(seeded_prefix(total, n, [config.seed]))
     sims = np.asarray(similarities, dtype=float)
     ranked = np.argsort(-sims, kind="stable")
-    m = next(size for size in range(1, k + 1) if universe_size(size, d) >= n)
-    m = 2 * m if total >= _PRUNE_FROM and np.isfinite(sims).all() else k
+    m = 2 * next(size for size in range(1, k + 1) if universe_size(size, d) >= n)
     while True:
         m = min(m, k)
         demos = np.sort(ranked[:m])  # ascending, so local tuples keep universe order
@@ -312,13 +255,43 @@ def _select_universe_indices(
         if m == k or _outside_bound(sims[ranked], m, d) < -nth:
             break
         m *= 2
-    # Stable-sort only the tuples at or above the n-th best score: ties go to
-    # the lower universe index, and NaN keys, never `> nth`, rank last.
-    contenders = np.flatnonzero(~(key > nth))
+    # Stable-sort only the tuples at or above the n-th best score, so ties go
+    # to the lower universe index.
+    contenders = np.flatnonzero(key <= nth)
     best = contenders[np.argsort(key[contenders], kind="stable")[:n]]
     if m < k:  # local tuple indices to universe indices
         best = _encode(demos[_decode(best, m, d)], k)
     return sorted(best.tolist())
+
+
+def _finite_similarities(similarities: Sequence[float], k: int) -> np.ndarray:
+    """The k similarities as an array; a NaN or an infinity cannot rank or order demos."""
+    if len(similarities) != k:
+        raise ValueError(f"{len(similarities)} similarities for k={k}")
+    sims = np.asarray(similarities, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(sims))
+    if bad.size:
+        raise ValueError(f"similarity of demonstration {bad[0]} is {sims[bad[0]]}, not finite")
+    return sims
+
+
+def _order(
+    rows: np.ndarray, us: np.ndarray, sims: np.ndarray, config: PromptSetConfig
+) -> list[tuple[int, ...]]:
+    """Arrange the demos of each selected tuple, one row per universe index.
+
+    ascend puts the most similar demo next to the test input and descend
+    puts it first, a stable sort keeping tied demos in tuple order; mixed
+    permutes the row of universe index u by ``seeded_prefix(d, d, [seed, u])``.
+    """
+    d = rows.shape[1]
+    if config.ordering is Ordering.MIXED:
+        shuffles = [seeded_prefix(d, d, [config.seed, u]) for u in us.tolist()]
+        positions = np.array(shuffles, dtype=np.intp).reshape(-1, d)
+    else:
+        gated = sims[rows] if config.ordering is Ordering.ASCEND else -sims[rows]
+        positions = np.argsort(gated, axis=1, kind="stable")
+    return list(map(tuple, np.take_along_axis(rows, positions, axis=1).tolist()))
 
 
 def _build_prompt(
@@ -340,12 +313,7 @@ def _build_prompt(
         count = tokenizer.count(text)
         if count <= config.input_budget:
             return Prompt(
-                prompt_id=prompt_id,
-                universe_index=universe_index,
-                demo_indices=tuple(current),
-                text=text,
-                token_count=count,
-                dropped_demo_indices=tuple(dropped),
+                prompt_id, universe_index, tuple(current), text, count, tuple(dropped)
             )
         if not current:
             raise PromptBudgetError(
@@ -372,21 +340,10 @@ def enumerate_prompts(
     trimmed prompt; only their ids differ.
     """
     k = sample.k
-    if len(similarities) != k:
-        raise ValueError(f"{len(similarities)} similarities for k={k}")
-    selected = _select_universe_indices(k, config, similarities)
-    rows = _decode(np.array(selected, dtype=np.int64), k, config.demos_per_prompt)
-    sims = np.asarray(similarities, dtype=float)
-    if config.ordering is Ordering.MIXED or np.isnan(sims).any():
-        orders = [
-            order_demonstrations(row, similarities, config.ordering, config.seed, u)
-            for row, u in zip(rows.tolist(), selected)
-        ]
-    else:
-        # A stable sort keeps tied demos in tuple order, as order_demonstrations does.
-        gated = sims[rows] if config.ordering is Ordering.ASCEND else -sims[rows]
-        rows = rows[np.arange(len(rows))[:, None], np.argsort(gated, axis=1, kind="stable")]
-        orders = list(map(tuple, rows.tolist()))
+    sims = _finite_similarities(similarities, k)
+    selected = _select_universe_indices(k, config, sims)
+    us = np.array(selected, dtype=np.int64)
+    orders = _order(_decode(us, k, config.demos_per_prompt), us, sims, config)
     built: dict[tuple[int, ...], Prompt] = {}
     prompts = []
     for prompt_id, (u, ordered) in enumerate(zip(selected, orders)):
@@ -415,11 +372,13 @@ def select_kate_prompt(
     sample position) form one prompt, ordered and budget-trimmed the same
     way as enumerated prompts.
     """
-    k = sample.k
-    if len(similarities) != k:
-        raise ValueError(f"{len(similarities)} similarities for k={k}")
-    ranked = sorted(range(k), key=lambda i: (-similarities[i], i))
-    demo_tuple = tuple(sorted(ranked[: config.demos_per_prompt]))
-    u = universe_index_from_tuple(demo_tuple, k)
-    ordered = order_demonstrations(demo_tuple, similarities, config.ordering, config.seed, u)
-    return _build_prompt(0, u, ordered, sample, test, config, similarities, template, tokenizer)
+    k, d = sample.k, config.demos_per_prompt
+    sims = _finite_similarities(similarities, k)
+    if d > k:
+        raise ValueError(f"no prompt of {d} distinct demonstrations can be drawn from k={k}")
+    rows = np.sort(np.argsort(-sims, kind="stable")[:d])[None]
+    us = _encode(rows, k)
+    (ordered,) = _order(rows, us, sims, config)
+    return _build_prompt(
+        0, int(us[0]), ordered, sample, test, config, similarities, template, tokenizer
+    )

@@ -76,6 +76,20 @@ def test_one_seeded_shuffle():
     }
 
 
+def test_one_demo_order():
+    # Both prompt builders order their demos in prompts._order, the one place
+    # a mixed order is drawn; seeded_prefix is otherwise called only to sample
+    # the k shots and to select prompts at random.
+    assert uses_by_module({"seeded_prefix"}, calls_only=True) == {
+        "corpus.py": {("sample_kshot", "seeded_prefix")},
+        "prompts.py": {("_select_universe_indices", "seeded_prefix"),
+                       ("_order", "seeded_prefix")},
+    }
+    assert uses_by_module({"_order"}, calls_only=True) == {
+        "prompts.py": {("enumerate_prompts", "_order"), ("select_kate_prompt", "_order")},
+    }
+
+
 def test_one_pooling_step_builds_candidates():
     # Every combine rule scores its candidates in combine._pool; only the
     # postfilter's substring merge builds new ones from them.

@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -225,6 +226,33 @@ class TestResolve:
         assert code == 2
         assert "backend error: embedding request failed" in capsys.readouterr().err
         assert slept == [0.5, 1.0]
+
+    def test_non_finite_demonstration_embedding_is_exit_two(self, serve, capsys):
+        # The demonstrations are embedded in one batch. A NaN in one of their
+        # vectors gives every test input a similarity that is not finite, so
+        # every example fails as a backend failure rather than scoring F1 0.
+        def respond(call):
+            vectors = [[1.0, len(text) % 7] for text in call["json"]["texts"]]
+            if len(vectors) > 1:
+                vectors[0][0] = math.nan
+            return Reply(payload={"vectors": vectors})
+
+        code = run(resolve_args("--seed", "1", "--embed-endpoint", serve(respond).url))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "backend error: all 3 examples failed" in err
+        assert json.loads(out)["f1"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--per-prompt-min", "per_prompt_threshold"), ("--combined-min", "combined_threshold")],
+    )
+    def test_non_finite_floor_is_exit_one(self, capsys, flag, field):
+        # `nan > 0.0` is False, so a NaN floor would silently filter nothing.
+        assert run(resolve_args("--seed", "1", flag, "nan")) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {field} must be finite and non-negative\n"
 
     @pytest.mark.parametrize("flag", ["--lm-endpoint", "--embed-endpoint"])
     def test_malformed_endpoint_is_exit_one(self, capsys, monkeypatch, flag):
@@ -549,8 +577,10 @@ class TestReplay:
         [
             (rekey_a_gate_weight, "gating has no weight for prompt id 0"),
             (lambda entry: entry["prompt_ids"].pop(), "15 prompt ids for 16 generations"),
+            (lambda entry: entry["gating"].update({"0": math.nan}),
+             "gating weights sum to nan, expected 1"),
         ],
-        ids=["gating-without-a-prompt-id", "prompt-ids-short"],
+        ids=["gating-without-a-prompt-id", "prompt-ids-short", "gating-weight-nan"],
     )
     def test_unreplayable_entry_says_what_is_wrong(self, tmp_path, capsys, edit, detail):
         manifest = self.make_manifest(tmp_path)

@@ -165,6 +165,14 @@ class TestGatingDistribution:
         with pytest.raises(ValueError):
             GatingDistribution({})
 
+    @pytest.mark.parametrize(
+        "weights", [{0: math.nan}, {0: 1.0, 1: math.nan}, {0: math.inf, 1: -math.inf}]
+    )
+    def test_nan_weights_rejected(self, weights):
+        # Every comparison with NaN is False, so each check must be one that NaN fails.
+        with pytest.raises(ValueError, match="gating weights sum to nan, expected 1"):
+            GatingDistribution(weights)
+
     def test_uniform(self):
         dist = GatingDistribution.uniform([3, 5, 9])
         assert dist[3] == pytest.approx(1 / 3)

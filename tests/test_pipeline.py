@@ -1,5 +1,6 @@
 """End-to-end resolution, manifests, and replay."""
 import json
+import math
 import sys
 from dataclasses import replace
 import threading
@@ -306,6 +307,24 @@ class TestResolveSplit:
         errors = {r.key: r.error for r in split_result.results}
         assert "Remote end closed connection" in errors.pop(TEST3[2].key)
         assert set(errors.values()) == {None}
+
+    def test_non_finite_embedding_fails_only_its_example(self, serve):
+        # JSON replies may carry NaN, which json.loads accepts.
+        def resolve(poison):
+            def respond(call):
+                texts = call["json"]["texts"]
+                return Reply(200, {"vectors": [
+                    [math.nan if poison in t else 1.0, len(t) % 7] for t in texts
+                ]})
+
+            embedder = serve(respond).client(RemoteEmbedder, sleep=lambda s: None)
+            resolver = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder=embedder)
+            return resolver.resolve_split(TEST3).results
+
+        clean, poisoned = resolve("no text holds this"), resolve(TEST3[2].text)
+        assert poisoned[2].error == f"similarity of {TEST3[2].key} to demonstration 0 is nan"
+        assert poisoned[:2] == clean[:2]
+        assert [r.error for r in clean] == [None] * 3
 
 
 def sampling(combiner, samples):

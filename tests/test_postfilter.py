@@ -1,4 +1,6 @@
 """Candidate postfiltering: length cap, substring merge, probability gates."""
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,13 @@ class TestFilterConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FilterConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["per_prompt_threshold", "combined_threshold"])
+    def test_non_finite_floor_rejected(self, field, value):
+        # `nan > 0.0` is False, so a NaN floor would silently filter nothing.
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            FilterConfig(**{field: value})
 
 
 class TestLengthCap:

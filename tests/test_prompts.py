@@ -1,16 +1,15 @@
 """Prompt templating, demonstration-tuple universes, and budget packing."""
 import tracemalloc
-from dataclasses import replace
-from unittest.mock import patch
+from functools import cache
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mice import prompts
 from mice.combine import extract_prediction
-from mice.corpus import Dataset, load_corpus, sample_kshot
+from mice.corpus import Dataset, load_corpus, sample_kshot, seeded_prefix
 from mice.gateway import Generation, WordTokenizer
 from mice.prompts import (
     Ordering,
@@ -21,13 +20,11 @@ from mice.prompts import (
     Template,
     _decode,
     _encode,
+    _order,
     _select_universe_indices,
     _top_gated_scores,
     enumerate_prompts,
-    order_demonstrations,
     select_kate_prompt,
-    tuple_from_universe_index,
-    universe_index_from_tuple,
     universe_size,
 )
 
@@ -47,19 +44,24 @@ def parse(template, generated):
     return list(prediction.generated_antecedents)
 
 
+@cache
+def universe(k, d):
+    """Every demo tuple in universe order: ordered with replacement up to two
+    demos, ordered and distinct beyond, each enumeration lexicographic."""
+    return list(product(range(k), repeat=d) if d <= 2 else permutations(range(k), d))
+
+
 def reference_top_gated(k, d, max_prompts, similarities):
-    """Top-gated selection as a plain sort of (-summed similarity, index);
-    NaN sums rank last."""
-    total = universe_size(k, d)
-    sums = [
-        sum(similarities[i] for i in tuple_from_universe_index(u, k, d)) for u in range(total)
-    ]
+    """Top-gated selection as a plain sort of (-summed similarity, index)."""
+    sums = [sum(similarities[i] for i in combo) for combo in universe(k, d)]
+    return sorted(sorted(range(len(sums)), key=lambda u: (-sums[u], u))[:max_prompts])
 
-    def rank(u):
-        nan = sums[u] != sums[u]
-        return nan, 0.0 if nan else -sums[u], u
 
-    return sorted(sorted(range(total), key=rank)[: min(max_prompts, total)])
+def order_one(demos, sims, ordering, seed, u):
+    """One tuple through the prompt builders' one ordering step."""
+    config = PromptSetConfig(ordering=ordering, seed=seed)
+    (ordered,) = _order(np.array([demos]), np.array([u]), np.array(sims), config)
+    return ordered
 
 
 class TestTokenizer:
@@ -138,14 +140,13 @@ class TestUniverse:
         k = 4
         for i in range(k):
             for j in range(k):
-                assert universe_index_from_tuple((i, j), k) == i * k + j
-                assert tuple_from_universe_index(i * k + j, k, 2) == (i, j)
+                assert _encode(np.array([[i, j]]), k).tolist() == [i * k + j]
+                assert _decode(np.array([i * k + j]), k, 2).tolist() == [[i, j]]
 
     def test_distinct_tuples_beyond_two_demos(self):
         k, d = 5, 3
         seen = set()
-        for u in range(universe_size(k, d)):
-            combo = tuple_from_universe_index(u, k, d)
+        for combo in map(tuple, _decode(np.arange(universe_size(k, d)), k, d).tolist()):
             assert len(set(combo)) == d
             seen.add(combo)
         assert len(seen) == 60
@@ -156,21 +157,19 @@ class TestUniverse:
             d = k
         total = universe_size(k, d)
         u = data.draw(st.integers(0, total - 1))
-        combo = tuple_from_universe_index(u, k, d)
-        assert universe_index_from_tuple(combo, k) == u
+        combo = _decode(np.array([u]), k, d)
+        assert _encode(combo, k).tolist() == [u]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_array_decode_and_encode_match_the_scalar_helpers(self, d):
         for k in range(1 if d <= 2 else d, 8):
             total = universe_size(k, d)
             rows = _decode(np.arange(total), k, d)
-            assert [tuple(row) for row in rows.tolist()] == [
-                tuple_from_universe_index(u, k, d) for u in range(total)
-            ]
+            assert [tuple(row) for row in rows.tolist()] == universe(k, d)
             assert _encode(rows, k).tolist() == list(range(total))
 
     def test_round_trip_is_lexicographic_for_distinct_tuples(self):
-        combos = [tuple_from_universe_index(u, 4, 3) for u in range(universe_size(4, 3))]
+        combos = _decode(np.arange(universe_size(4, 3)), 4, 3).tolist()
         assert combos == sorted(combos)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -180,10 +179,7 @@ class TestUniverse:
         # Bit for bit, so top-gated ties fall exactly where sum() puts them.
         for k in range(1, 8):
             scores = _top_gated_scores(k, d, sims[:k])
-            expected = [
-                sum(sims[i] for i in tuple_from_universe_index(u, k, d))
-                for u in range(universe_size(k, d))
-            ]
+            expected = [sum(sims[i] for i in combo) for combo in universe(k, d)]
             assert [x.hex() for x in scores.tolist()] == [x.hex() for x in expected]
 
 
@@ -191,19 +187,19 @@ class TestOrdering:
     SIMS = [0.9, 0.1, 0.5]
 
     def test_ascend_puts_most_similar_last(self):
-        assert order_demonstrations((0, 1, 2), self.SIMS, Ordering.ASCEND, 0, 0) == (1, 2, 0)
+        assert order_one((0, 1, 2), self.SIMS, Ordering.ASCEND, 0, 0) == (1, 2, 0)
 
     def test_descend_puts_most_similar_first(self):
-        assert order_demonstrations((0, 1, 2), self.SIMS, Ordering.DESCEND, 0, 0) == (0, 2, 1)
+        assert order_one((0, 1, 2), self.SIMS, Ordering.DESCEND, 0, 0) == (0, 2, 1)
 
     def test_ties_break_by_position(self):
         sims = [0.5, 0.5]
-        assert order_demonstrations((0, 1), sims, Ordering.ASCEND, 0, 0) == (0, 1)
-        assert order_demonstrations((1, 0), sims, Ordering.ASCEND, 0, 0) == (1, 0)
+        assert order_one((0, 1), sims, Ordering.ASCEND, 0, 0) == (0, 1)
+        assert order_one((1, 0), sims, Ordering.ASCEND, 0, 0) == (1, 0)
 
     def test_mixed_is_deterministic_per_seed_and_prompt(self):
-        a = order_demonstrations((0, 1, 2), self.SIMS, Ordering.MIXED, 7, 12)
-        b = order_demonstrations((0, 1, 2), self.SIMS, Ordering.MIXED, 7, 12)
+        a = order_one((0, 1, 2), self.SIMS, Ordering.MIXED, 7, 12)
+        b = order_one((0, 1, 2), self.SIMS, Ordering.MIXED, 7, 12)
         assert a == b
 
     # (demos, seed, universe index) -> the mixed order of (0, 1, ..., demos - 1).
@@ -219,12 +215,12 @@ class TestOrdering:
     @pytest.mark.parametrize("case", sorted(MIXED_ORDERS))
     def test_mixed_orders_are_pinned(self, case):
         d, seed, u = case
-        order = order_demonstrations(tuple(range(d)), [0.1] * d, Ordering.MIXED, seed, u)
+        order = order_one(tuple(range(d)), [0.1] * d, Ordering.MIXED, seed, u)
         assert order == self.MIXED_ORDERS[case]
 
     def test_mixed_varies_across_universe_indices(self):
         orders = {
-            order_demonstrations(tuple(range(5)), [0.1] * 5, Ordering.MIXED, 7, u)
+            order_one(tuple(range(5)), [0.1] * 5, Ordering.MIXED, 7, u)
             for u in range(20)
         }
         assert len(orders) > 1
@@ -287,11 +283,8 @@ class TestSelection:
             st.integers(1, 8) | st.integers(1, total + 5), label="max_prompts"
         )
         sims = data.draw(st.lists(self.SIMILARITY, min_size=k, max_size=k), label="sims")
-        if data.draw(st.booleans(), label="with a NaN"):
-            sims[data.draw(st.integers(0, k - 1), label="NaN at")] = float("nan")
         config = PromptSetConfig(demos_per_prompt=d, max_prompts=max_prompts)
-        with patch.object(prompts, "_PRUNE_FROM", 0):  # prune universes of any size
-            picks = _select_universe_indices(k, config, sims)
+        picks = _select_universe_indices(k, config, sims)
         assert picks == reference_top_gated(k, d, max_prompts, sims)
 
     # (k, demos, max prompts, similarities) -> the top-gated selection; several
@@ -481,14 +474,21 @@ class CountingTokenizer:
         return TOK.count(text)
 
 
+def spec_order(combo, sims, config, u):
+    """The documented order: ascend and descend sort by similarity, ties in
+    tuple order; mixed takes the positions seeded_prefix(d, d, [seed, u])."""
+    if config.ordering is Ordering.MIXED:
+        return [combo[p] for p in seeded_prefix(len(combo), len(combo), [config.seed, u])]
+    sign = 1 if config.ordering is Ordering.ASCEND else -1
+    return sorted(combo, key=lambda i: sign * sims[i])
+
+
 def reference_prompts(sample, test, config, sims):
     """Each selected tuple ordered, then trimmed, on its own."""
     k, d = sample.k, config.demos_per_prompt
     prompts = []
     for prompt_id, u in enumerate(_select_universe_indices(k, config, sims)):
-        current = list(order_demonstrations(
-            tuple_from_universe_index(u, k, d), sims, config.ordering, config.seed, u
-        ))
+        current = spec_order(universe(k, d)[u], sims, config, u)
         dropped = []
         while True:
             text = Template().render_prompt([sample.examples[i] for i in current], test)
@@ -545,12 +545,13 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("ordering", list(Ordering))
     @pytest.mark.parametrize("d", [2, 3])
-    def test_a_nan_similarity_orders_as_the_scalar_helper_does(self, d, ordering):
-        # A NaN has no place in a sort; the build must still follow order_demonstrations.
-        sims = [0.3, float("nan"), 0.3, 0.2, 0.5]
-        config = replace(self.config(d, ordering), max_prompts=125)
-        built = enumerate_prompts(self.SAMPLE, self.TEST, config, sims, Template(), TOK)
-        assert built == reference_prompts(self.SAMPLE, self.TEST, config, sims)
+    def test_a_non_finite_similarity_is_rejected(self, d, ordering):
+        # A NaN or an infinity has no place in a ranking or a sort; both builders refuse it.
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            sims = [0.3, bad, 0.3, 0.2, 0.5]
+            for build in (enumerate_prompts, select_kate_prompt):
+                with pytest.raises(ValueError, match=f"demonstration 1 is {bad}, not finite"):
+                    build(self.SAMPLE, self.TEST, self.config(d, ordering), sims, Template(), TOK)
 
 
 class TestKatePrompt:
@@ -574,6 +575,17 @@ class TestKatePrompt:
             Template(), TOK,
         )
         assert sorted(prompt.demo_indices) == [0, 1]
+
+    @pytest.mark.parametrize("k, d", [(1, 2), (4, 5)])
+    def test_more_distinct_demos_than_k_are_rejected(self, k, d):
+        config = PromptSetConfig(demos_per_prompt=d)
+        with pytest.raises(
+            ValueError, match=f"no prompt of {d} distinct demonstrations can be drawn from k={k}"
+        ):
+            select_kate_prompt(
+                tiny_sample(k=k), make_example("t", ["water"]), config, [0.1] * k,
+                Template(), TOK,
+            )
 
 
 class TestPromptDataclass:
