@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,8 +62,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_prompt_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("prompt construction")
+def _resolver_flags() -> argparse.ArgumentParser:
+    """The flags that build a ``Resolver``, shared by resolve and distill."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--train", required=True, help="training corpus JSONL")
+    parent.add_argument("--k", type=int, required=True, help="k-shot sample size")
+    parent.add_argument("--combiner", choices=[c.value for c in Combiner],
+                        default=Combiner.MICE_S.value)
+    parent.add_argument("--gate-combine", choices=["sum", "product"], default="sum",
+                        help="similarity aggregation inside the gate")
+
+    group = parent.add_argument_group("prompt construction")
     group.add_argument("--demos-per-prompt", type=int, default=2,
                        help="demonstrations per prompt (default 2)")
     group.add_argument("--max-prompts", type=int, default=256,
@@ -81,9 +90,7 @@ def _add_prompt_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--template", metavar="JSON",
                        help="JSON file overriding template fields")
 
-
-def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("postfilter")
+    group = parent.add_argument_group("postfilter")
     group.add_argument("--max-ante-tokens", type=int, default=250,
                        help="max antecedent length in tokens (default 250)")
     group.add_argument("--per-prompt-min", type=float, default=0.02,
@@ -93,23 +100,7 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--no-merge", action="store_true",
                        help="disable substring merging")
 
-
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("backend")
-    group.add_argument("--lm-mock", metavar="FIXTURE",
-                       help="scripted mock backend fixture (JSON)")
-    group.add_argument("--lm-endpoint",
-                       help=f"completion endpoint (or ${ENV_LM_ENDPOINT})")
-    group.add_argument("--embed-endpoint",
-                       help=f"embedding endpoint (or ${ENV_EMBED_ENDPOINT})")
-    group.add_argument("--embed-dim", type=int, default=1024,
-                       help="hashing embedder dimension (default 1024)")
-    group.add_argument("--parallelism", type=int, default=8,
-                       help="max in-flight completions (default 8)")
-
-
-def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("decoding")
+    group = parent.add_argument_group("decoding")
     group.add_argument("--decode", choices=["greedy", "nucleus"], default="greedy",
                        help="decoding mode (default greedy)")
     group.add_argument("--top-k", type=int, default=50,
@@ -121,12 +112,26 @@ def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--kp-samples", type=int, default=256,
                        help="samples drawn by kate-plus (default 256)")
 
+    group = parent.add_argument_group("backend")
+    group.add_argument("--lm-mock", metavar="FIXTURE",
+                       help="scripted mock backend fixture (JSON)")
+    group.add_argument("--lm-endpoint",
+                       help=f"completion endpoint (or ${ENV_LM_ENDPOINT})")
+    group.add_argument("--embed-endpoint",
+                       help=f"embedding endpoint (or ${ENV_EMBED_ENDPOINT})")
+    group.add_argument("--embed-dim", type=int, default=1024,
+                       help="hashing embedder dimension (default 1024)")
+    group.add_argument("--parallelism", type=int, default=8,
+                       help="max in-flight completions (default 8)")
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mice",
                      description="Ensemble in-context resolution of "
                                  "split-antecedent anaphora.")
     sub = parser.add_subparsers(dest="command", required=True)
+    resolver_flags = _resolver_flags()
 
     p_detect = sub.add_parser("detect", help="find anaphors with the rule set")
     p_detect.add_argument("--docs", help="unlabeled docs JSONL to annotate")
@@ -140,23 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--out", help="write the sample as JSONL")
 
-    p_resolve = sub.add_parser("resolve", help="resolve a test split")
+    p_resolve = sub.add_parser("resolve", help="resolve a test split", parents=[resolver_flags])
     p_resolve.add_argument("--corpus", required=True, help="test corpus JSONL")
-    p_resolve.add_argument("--train", required=True, help="training corpus JSONL")
-    p_resolve.add_argument("--k", type=int, required=True, help="k-shot sample size")
     p_resolve.add_argument("--seed", type=int, help="single run seed")
     p_resolve.add_argument("--seeds", help="comma-separated seeds; reports mean/std")
-    p_resolve.add_argument("--combiner", choices=[c.value for c in Combiner],
-                           default=Combiner.MICE_S.value)
-    p_resolve.add_argument("--gate-combine", choices=["sum", "product"], default="sum",
-                           help="similarity aggregation inside the gate")
     p_resolve.add_argument("--report", help="write the score report JSON here")
     p_resolve.add_argument("--predictions", help="write predictions JSON here")
     p_resolve.add_argument("--manifest", help="write the run manifest here")
-    _add_prompt_flags(p_resolve)
-    _add_filter_flags(p_resolve)
-    _add_decode_flags(p_resolve)
-    _add_backend_flags(p_resolve)
 
     p_eval = sub.add_parser("eval", help="score stored predictions")
     p_eval.add_argument("--predictions", required=True,
@@ -164,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--corpus", required=True, help="gold corpus JSONL")
     p_eval.add_argument("--report", help="write the score report JSON here")
 
-    p_distill = sub.add_parser("distill", help="export teacher pseudo-labels")
+    p_distill = sub.add_parser("distill", help="export teacher pseudo-labels",
+                               parents=[resolver_flags])
     p_distill.add_argument("--unlabeled", required=True, help="unlabeled docs JSONL")
     p_distill.add_argument("--count", type=int, required=True,
                            help="number of anaphors to pseudo-label (at least 1)")
@@ -175,16 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distill.add_argument("--checkpoint",
                            help="write completed records here if an anaphor fails on "
                                 "a backend error or on the prompt budget")
-    p_distill.add_argument("--train", required=True, help="training corpus JSONL")
-    p_distill.add_argument("--k", type=int, required=True)
     p_distill.add_argument("--seed", type=int, default=0)
-    p_distill.add_argument("--combiner", choices=[c.value for c in Combiner],
-                           default=Combiner.MICE_S.value)
-    p_distill.add_argument("--gate-combine", choices=["sum", "product"], default="sum")
-    _add_prompt_flags(p_distill)
-    _add_filter_flags(p_distill)
-    _add_decode_flags(p_distill)
-    _add_backend_flags(p_distill)
 
     p_replay = sub.add_parser("replay", help="recompute a run from its manifest")
     p_replay.add_argument("--manifest", required=True)
@@ -338,57 +325,67 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolvers(args: argparse.Namespace, seeds: Sequence[int],
+               clients: contextlib.ExitStack) -> Iterator[Resolver]:
+    """Each seed's ``Resolver`` over its k-shot sample of ``--train``, in turn,
+    all on one backend and embedder that ``clients`` closes."""
+    train = load_corpus(args.train)
+    configs = [_run_config(args, seed) for seed in seeds]
+    backend = _build_backend(args, configs[0].template, clients)
+    embedder = _build_embedder(args, clients)
+    for seed, config in zip(seeds, configs):
+        yield Resolver(config, sample_kshot(train, args.k, seed), backend, embedder=embedder)
+
+
 def _cmd_resolve(args: argparse.Namespace) -> int:
     seeds = _seed_list(args)
     multi = len(seeds) > 1
     _check_outputs(args.report, *(_seeded_path(path, seed, multi) for seed in seeds
                                   for path in (args.manifest, args.predictions) if path))
-    train = load_corpus(args.train)
     test = load_corpus(args.corpus)
-    configs = [_run_config(args, seed) for seed in seeds]
-    runs = []
     with contextlib.ExitStack() as clients:
-        backend = _build_backend(args, configs[0].template, clients)
-        embedder = _build_embedder(args, clients)
-        for seed, config in zip(seeds, configs):
-            sample = sample_kshot(train, args.k, seed)
-            resolver = Resolver(config, sample, backend, embedder=embedder)
-            result = resolver.resolve_split(test)
-            logger.info("seed %d: %d prompts", seed, result.request_count)
-            if args.manifest:
-                write_manifest(
-                    result, config, sample,
-                    _seeded_path(args.manifest, seed, multi),
-                    split_name=test.split_name,
-                )
-            if args.predictions:
-                _seeded_path(args.predictions, seed, multi).write_text(
-                    json.dumps(result.predictions, sort_keys=True, indent=2,
-                               ensure_ascii=False) + "\n",
-                    encoding="utf-8",
-                )
-            runs.append((seed, result))
-    scored = [(seed, r.report) for seed, r in runs if r.report is not None]
+        outcomes = [_resolve_seed(args, resolver, test, multi)
+                    for resolver in _resolvers(args, seeds, clients)]
+    rows = [row for row, _, _ in outcomes if row]
+    failures = [failure for _, failure, _ in outcomes if failure]
+    output = outcomes[-1][2]
     if multi:
-        payload: dict = {
-            "seeds": seeds,
-            "runs": [
-                {"seed": seed, "f1": rep.f1, "precision": rep.precision, "recall": rep.recall}
-                for seed, rep in scored
-            ],
-        }
-        if scored:
-            f1s = np.array([rep.f1 for _, rep in scored])
+        payload: dict = {"seeds": seeds, "runs": rows}
+        if rows:
+            f1s = np.array([row["f1"] for row in rows])
             payload["mean_f1"] = float(f1s.mean())
             payload["std_f1"] = float(f1s.std())
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.report)
-    else:
-        _emit(_split_output(runs[0][1]), args.report)
-    for seed, result in runs:
-        if result.results and result.backend_failures == len(result.results):
-            raise BackendError(f"all {len(result.results)} examples failed with seed {seed}, "
-                               f"the first with: {result.results[0].error}")
+        output = json.dumps(payload, sort_keys=True, indent=2)
+    _emit(output, args.report)
+    if failures:
+        raise BackendError(failures[0])
     return 0
+
+
+def _resolve_seed(args: argparse.Namespace, resolver: Resolver, test: Dataset,
+                  multi: bool) -> tuple[Optional[dict], Optional[str], str]:
+    """Resolve ``test`` with one seed's resolver and write its files. Returns its
+    report row, the failure if every example failed, and, for one seed, its output."""
+    seed = resolver.sample.seed
+    result = resolver.resolve_split(test)
+    logger.info("seed %d: %d prompts", seed, result.request_count)
+    if args.manifest:
+        write_manifest(result, resolver.config, resolver.sample,
+                       _seeded_path(args.manifest, seed, multi), split_name=test.split_name)
+    if args.predictions:
+        _seeded_path(args.predictions, seed, multi).write_text(
+            json.dumps(result.predictions, sort_keys=True, indent=2,
+                       ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+    rep = result.report
+    row = None if rep is None else {"seed": seed, "f1": rep.f1, "precision": rep.precision,
+                                    "recall": rep.recall}
+    failure = None
+    if result.results and result.backend_failures == len(result.results):
+        failure = (f"all {len(result.results)} examples failed with seed {seed}, "
+                   f"the first with: {result.results[0].error}")
+    return row, failure, "" if multi else _split_output(result)
 
 
 def _split_output(result: SplitResult) -> str:
@@ -428,13 +425,9 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     _check_outputs(args.out, args.drops, args.checkpoint)
     rules = load_rules(args.rules) if args.rules else default_rules()
     docs = load_unlabeled_docs(args.unlabeled)
-    train = load_corpus(args.train)
-    config = _run_config(args, args.seed)
     drop_log = DropLog()
     with contextlib.ExitStack() as clients:
-        backend = _build_backend(args, config.template, clients)
-        sample = sample_kshot(train, args.k, args.seed)
-        resolver = Resolver(config, sample, backend, embedder=_build_embedder(args, clients))
+        (resolver,) = _resolvers(args, [args.seed], clients)
         records = generate_pseudo_labels(docs, resolver.iter_results, args.count, rules,
                                          drop_log=drop_log, checkpoint_path=args.checkpoint)
     export_records(records, args.out, args.format)

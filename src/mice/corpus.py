@@ -81,6 +81,15 @@ def _same(value: Any, memo: Optional[dict] = None) -> Any:
     return value
 
 
+def _only(kind: type, decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``decode`` for a JSON array (``kind`` list) or object (dict) alone."""
+    def checked(value: Any) -> Any:
+        if isinstance(value, kind):
+            return decode(value)
+        raise TypeError(f"expected a JSON {'array' if kind is list else 'object'}, not {value!r}")
+    return checked
+
+
 @lru_cache(maxsize=None)
 def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
     """``(encode, decode)`` for values annotated ``tp``, compiled once from its
@@ -98,16 +107,17 @@ def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
             lambda v: v if v is None else dec(v))
     if origin in (tuple, list):
         enc, dec = _codec(args[0] if args else Any)
-        return ((lambda v, memo: list(v)), origin) if enc is _same else (
-            (lambda v, memo: [enc(x, memo) for x in v]), lambda v: origin(map(dec, v)))
+        return ((lambda v, memo: list(v)), _only(list, origin)) if enc is _same else (
+            (lambda v, memo: [enc(x, memo) for x in v]),
+            _only(list, lambda v: origin(map(dec, v))))
     if origin in (dict, Mapping):
         key, value = args or (str, Any)
         enc, dec = _codec(value)
         if key is str and enc is _same:
-            return (lambda m, memo: dict(m)), _same
+            return (lambda m, memo: dict(m)), _only(dict, _same)
         return ((lambda m, memo: {str(k): v for k, v in m.items()}) if enc is _same else
                 (lambda m, memo: {str(k): enc(v, memo) for k, v in m.items()}),
-                lambda m: {key(k): dec(v) for k, v in m.items()})
+                _only(dict, lambda m: {key(k): dec(v) for k, v in m.items()}))
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         named = [(f.name, *_codec(hints[f.name])) for f in fields(tp) if f.init]
@@ -118,7 +128,7 @@ def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
                 done = memo[id(obj)] = {name: enc(getattr(obj, name), memo)
                                         for name, enc, _ in named if name not in omit}
             return done
-        return encode, lambda v: tp(**{name: dec(v[name]) for name, _, dec in named})
+        return encode, _only(dict, lambda v: tp(**{name: dec(v[name]) for name, _, dec in named}))
     if isinstance(tp, type) and issubclass(tp, Enum):
         return (lambda v, memo: v.value), tp
     if tp is Any:  # an item of an unparameterized container
@@ -136,6 +146,9 @@ class Span:
 
     @classmethod
     def from_offsets(cls, text: str, start: int, end: int) -> "Span":
+        for offset in (start, end):
+            if isinstance(offset, bool) or not isinstance(offset, int):
+                raise CorpusError(f"span offset {offset!r} is not an integer")
         if not (0 <= start < end <= len(text)):
             raise CorpusError(f"invalid span [{start}, {end}) for text of length {len(text)}")
         return cls(start=start, end=end, surface=text[start:end])
@@ -237,7 +250,7 @@ def _example_from_record(keys: set[str], record: dict) -> Example:
     antecedents = record.get("antecedents")
 
     def span(offsets: dict) -> Span:
-        return Span.from_offsets(text, int(offsets["start"]), int(offsets["end"]))
+        return Span.from_offsets(text, offsets["start"], offsets["end"])
 
     example = Example(doc_id, text, span(anaphor),
                       None if antecedents is None else tuple(map(span, antecedents)))

@@ -36,6 +36,8 @@ from typing import BinaryIO, Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .corpus import from_json
+
 logger = logging.getLogger(__name__)
 
 # Words are runs of ASCII alphanumerics/underscore; anything else that is
@@ -131,6 +133,9 @@ class Generation:
     top_probs: tuple[Mapping[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        for value in (self.text, *self.tokens):
+            if not isinstance(value, str):
+                raise TypeError(f"generation text and tokens must be strings, not {value!r}")
         if self.top_probs and len(self.top_probs) != len(self.tokens):
             raise ValueError(
                 f"{len(self.top_probs)} probability maps for {len(self.tokens)} tokens"
@@ -420,7 +425,7 @@ def parse_response(payload: dict) -> Generation:
         top_probs: tuple[Mapping[str, float], ...] = ()
         lp = choice.get("logprobs")
         if lp:
-            tokens = tuple(lp.get("tokens", ()))
+            tokens = from_json(tuple[str, ...], lp.get("tokens", []))
             raw = lp.get("top_logprobs") or [{} for _ in tokens]
             top_probs = tuple(
                 {tok: math.exp(v) for tok, v in (entry or {}).items()} for entry in raw

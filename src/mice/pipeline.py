@@ -444,8 +444,8 @@ def _decode_header(header: dict) -> RunConfig:
 def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> ResolutionResult:
     """An entry finished again from its stored generations; the positions that
     stored equal generations share one, so ``_finish`` extracts it once."""
-    key, gold, stored = entry["key"], entry.get("gold"), entry.get("generations") or ()
-    gold = tuple(gold) if gold is not None else None
+    key, stored = entry["key"], entry.get("generations") or ()
+    gold = from_json(Optional[tuple[str, ...]], entry.get("gold"))
     distinct: list = []
     for generation in stored:
         if generation not in distinct:
@@ -454,7 +454,7 @@ def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> Resol
     weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
     if entry.get("error") or not stored:
         return _failed(key, gold, entry.get("error"))
-    prompt_ids = tuple(entry.get("prompt_ids", ()))
+    prompt_ids = from_json(tuple[int, ...], entry.get("prompt_ids", []))
     if len(prompt_ids) != len(stored):
         raise ValueError(f"{len(prompt_ids)} prompt ids for {len(stored)} generations")
     if weights and (unweighted := [pid for pid in prompt_ids if pid not in weights]):

@@ -45,30 +45,22 @@ class FilterConfig:
 def _merge_substrings(
     candidates: list[CandidateAntecedent],
 ) -> list[CandidateAntecedent]:
-    """Fold each candidate into the longest candidate containing it.
+    """Fold each candidate into its host: the longest candidate containing
+    it, ties broken by lexicographically smallest surface.
 
-    Survivors are the maximal surfaces (contained in no other candidate).
-    An absorbed candidate joins the longest survivor containing it, ties
-    broken by lexicographically smallest surface. The merged candidate
-    keeps the maximum combined probability of its members and the key-wise
-    maximum of their per-prompt probabilities.
+    A longer candidate holding the host would hold the candidate too, so the
+    hosts are exactly the maximal surfaces (contained in no other candidate),
+    and each comes out once. The merged candidate keeps the maximum combined
+    probability of its members and the key-wise maximum of their positive
+    per-prompt probabilities.
     """
-    surfaces = [c.surface for c in candidates]
-    maximal = [
-        c
-        for c in candidates
-        if not any(c.surface != s and c.surface in s for s in surfaces)
-    ]
-    groups: dict[str, list[CandidateAntecedent]] = {m.surface: [m] for m in maximal}
+    groups: dict[str, tuple[CandidateAntecedent, list[CandidateAntecedent]]] = {}
     for c in candidates:
-        if c.surface in groups and groups[c.surface][0] is c:
-            continue
-        hosts = [m for m in maximal if c.surface in m.surface]
-        host = min(hosts, key=lambda m: (-len(m.surface), m.surface))
-        groups[host.surface].append(c)
+        host = min((h for h in candidates if c.surface in h.surface),
+                   key=lambda h: (-len(h.surface), h.surface))
+        groups.setdefault(host.surface, (host, []))[1].append(c)
     merged: list[CandidateAntecedent] = []
-    for host in maximal:
-        members = groups[host.surface]
+    for host, members in groups.values():
         per_prompt: dict[int, float] = {}
         for member in members:
             for pid, p in member.per_prompt_prob.items():

@@ -18,6 +18,7 @@ budget.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
@@ -148,18 +149,8 @@ class Prompt:
 
 
 def universe_size(k: int, d: int) -> int:
-    """Size of the demonstration-tuple universe.
-
-    One or two demos per prompt use ordered tuples with replacement (k and
-    k*k), matching the quadratic 256-cap arithmetic; three or more use
-    ordered tuples of distinct demos (falling factorial).
-    """
-    if d <= 2:
-        return k**d
-    size = 1
-    for i in range(d):
-        size *= k - i
-    return size
+    """Size of the demonstration-tuple universe; past two demos, 0 when d > k."""
+    return math.prod(_radices(k, d))
 
 
 def _top_gated_scores(k: int, d: int, similarities: Sequence[float]) -> np.ndarray:
@@ -182,8 +173,10 @@ def _top_gated_scores(k: int, d: int, similarities: Sequence[float]) -> np.ndarr
 
 
 def _radices(k: int, d: int) -> tuple[int, ...]:
-    """The mixed radix of universe indices: each digit picks one of the demos
-    that the positions before it leave free."""
+    """The mixed radix of universe indices. Up to two demos per prompt, each
+    digit picks any of the k demos (tuples with replacement, matching the
+    quadratic 256-cap arithmetic); past two, one of the demos that the
+    positions before it leave free."""
     return tuple(k - pos for pos in range(d)) if d > 2 else (k,) * d
 
 

@@ -171,3 +171,12 @@ def test_no_python_level_thread_synchronization():
     assert uses_by_module(
         {"Semaphore", "BoundedSemaphore", "Condition", "Event", "Barrier"}, calls_only=True
     ) == {}
+
+
+def test_one_resolver_front_end():
+    # mice resolve and mice distill take their resolver flags from one parent
+    # parser and get their Resolvers, on one backend and embedder, from
+    # cli._resolvers alone.
+    assert name_uses(PACKAGE / "cli.py", {"Resolver"}, calls_only=True) == {
+        ("_resolvers", "Resolver"),
+    }

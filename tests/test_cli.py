@@ -1,4 +1,5 @@
 """Command-line workflows: exit codes, outputs, files."""
+import argparse
 import functools
 import gc
 import hashlib
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,15 @@ class TestParserContract:
             run([command, "--help"])
         assert exc.value.code == 0
         assert "usage: mice" in capsys.readouterr().out
+
+    def test_resolve_and_distill_share_their_resolver_flags(self):
+        (commands,) = (a.choices for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        resolve, distill = ({tuple(a.option_strings): a for a in commands[name]._actions}
+                            for name in ("resolve", "distill"))
+        shared = set(resolve) & set(distill) - {("-h", "--help"), ("--seed",)}
+        assert len(shared) == 25
+        assert all(resolve[flag] is distill[flag] for flag in shared)
 
     def test_missing_command_is_usage_error(self, capsys):
         assert run([]) == 1
@@ -173,6 +184,23 @@ class TestResolve:
         assert (tmp_path / "run.seed2.jsonl").exists()
         assert not manifest.exists()
 
+    def test_a_seed_sweep_holds_one_split_at_a_time(self, monkeypatch, capsys):
+        resolve_split = Resolver.resolve_split
+        splits = []
+        alive_at_start = []
+
+        def tracked(resolver, split):
+            gc.collect()
+            alive_at_start.append([ref() is not None for ref in splits])
+            result = resolve_split(resolver, split)
+            splits.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(Resolver, "resolve_split", tracked)
+        assert run(resolve_args("--seeds", "1,2")) == 0
+        assert alive_at_start == [[], [False]]
+        assert json.loads(capsys.readouterr().out)["mean_f1"] == 1.0
+
     def test_seed_and_seeds_conflict(self, capsys):
         assert run(resolve_args("--seed", "1", "--seeds", "1,2")) == 1
         assert "mutually exclusive" in capsys.readouterr().err
@@ -241,6 +269,18 @@ class TestResolve:
         out, err = capsys.readouterr()
         assert code == 2
         assert "backend error: all 3 examples failed" in err
+        assert json.loads(out)["f1"] == 0.0
+
+    def test_non_string_completions_from_the_whole_endpoint_are_exit_two(self, serve, capsys):
+        lm = serve(lambda call: Reply(200, {"choices": [{"text": 5}]}))
+        args = resolve_args("--seed", "1", "--lm-endpoint", lm.url)
+        args.remove("--lm-mock")
+        args.remove(ECHO)
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("backend error: all 3 examples failed with seed 1"), err
+        assert err.rstrip().endswith(
+            "malformed completion response: generation text and tokens must be strings, not 5")
         assert json.loads(out)["f1"] == 0.0
 
     @pytest.mark.parametrize(
@@ -556,9 +596,12 @@ class TestReplay:
             (edit_entry(lambda entry: entry["prompt_ids"].pop()), 2),
             (edit_entry(lambda entry: entry["generations"][0].update(text=5)), 2),
             (lambda lines: [lines[1], lines[0], *lines[2:]], 1),
+            (edit_entry(lambda entry: entry.update(gold="water")), 2),
+            (edit_entry(lambda entry: entry["generations"][0].update(tokens="abc")), 2),
         ],
         ids=["mice-s-gating-null", "gating-without-a-prompt-id", "prompt-ids-short",
-             "generation-text-not-a-string", "entry-above-the-header"],
+             "generation-text-not-a-string", "entry-above-the-header", "gold-not-an-array",
+             "generation-tokens-not-an-array"],
     )
     def test_unreplayable_entry_names_file_and_line(self, tmp_path, capsys, corrupt, line):
         # Each line still parses as JSON, but its entry cannot be replayed as stored.

@@ -1,6 +1,7 @@
 """The dataclass codec, ``to_json``/``from_json``: round trips and shared objects."""
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -184,3 +185,22 @@ def test_a_shared_generation_is_encoded_once_with_the_same_bytes():
     assert encoded["generations"][0] is not encoded["generations"][1]
     distinct = to_json(result_with([generation(), generation(), generation()]))
     assert json.dumps(encoded, sort_keys=True) == json.dumps(distinct, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "tp, value, detail",
+    [
+        (tuple[str, ...], "water", "expected a JSON array, not 'water'"),
+        (list[int], {"0": 1}, "expected a JSON array, not {'0': 1}"),
+        (dict[str, float], [["water", 0.5]], "expected a JSON object, not [['water', 0.5]]"),
+        (dict[int, float], "0", "expected a JSON object, not '0'"),
+        (Span, [0, 5, "water"], "expected a JSON object, not [0, 5, 'water']"),
+    ],
+    ids=["tuple-from-string", "list-from-object", "str-mapping-from-array",
+         "int-mapping-from-string", "dataclass-from-array"],
+)
+def test_a_container_decodes_only_from_its_json_kind(tp, value, detail):
+    # A string iterates as its characters and an object as its keys; neither
+    # is the array or object the annotation promises.
+    with pytest.raises(TypeError, match=re.escape(detail)):
+        from_json(tp, value)

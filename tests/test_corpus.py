@@ -1,5 +1,6 @@
 """Corpus loading, validation, and k-shot sampling."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,10 @@ class TestSpan:
             Span.from_offsets("short", 3, 99)
         with pytest.raises(CorpusError, match="invalid span"):
             Span.from_offsets("short", 4, 2)
+        # int() would read these as 1, 4 and 4; a bool is not an offset either.
+        for start in (True, 4.9, "4"):
+            with pytest.raises(CorpusError, match=f"span offset {re.escape(repr(start))} "):
+                Span.from_offsets("short", start, 5)
 
     def test_spans_are_immutable(self):
         span = Span(0, 3, "Add")
@@ -152,6 +157,22 @@ class TestLoadSave:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "offsets, value",
+        [({"start": True, "end": 9}, "True"), ({"start": 4, "end": 8.9}, "8.9"),
+         ({"start": "4", "end": 9}, "'4'")],
+        ids=["bool", "float", "string"],
+    )
+    def test_non_integer_offset_reports_line_and_value(self, tmp_path, offsets, value):
+        # int() would load these as the spans [1, 9), [4, 8) and [4, 9).
+        record = example_to_record(labeled())
+        record["antecedents"][0] = offsets
+        path = tmp_path / "bad_span.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"corpus {path} line 2: span offset {value} is not an integer"
 
     def test_fixture_corpora_load_and_validate(self):
         train = load_corpus(FIXTURES / "synthetic_train.jsonl")

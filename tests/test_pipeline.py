@@ -277,6 +277,33 @@ class TestResolveSplit:
         assert "1 probability maps for 2 tokens" in errors.pop(TEST3[1].key)
         assert set(errors.values()) == {None}
 
+    @pytest.mark.parametrize(
+        "choice, detail",
+        [
+            ({"text": 5}, "generation text and tokens must be strings, not 5"),
+            ({"text": "water", "logprobs": {"tokens": [1, 2]}},
+             "generation text and tokens must be strings, not 1"),
+            ({"text": "water", "logprobs": {"tokens": "ab"}},
+             "expected a JSON array, not 'ab'"),
+        ],
+        ids=["text-not-a-string", "token-not-a-string", "tokens-not-an-array"],
+    )
+    def test_non_string_completion_fails_only_its_example(self, serve, choice, detail):
+        poison_text = TEST3[1].text
+
+        def respond(call):
+            if poison_text in call["json"]["prompt"]:
+                return Reply(200, {"choices": [choice]})
+            return Reply(200, {"choices": [{"text": "water", "logprobs": None}]})
+
+        backend = serve(respond).client(HTTPBackend, sleep=lambda s: None)
+        config = RunConfig(combiner=Combiner.KATE, parallelism=2)
+        split_result = Resolver(config, SAMPLE, backend).resolve_split(TEST3)
+        errors = {r.key: r.error for r in split_result.results}
+        assert errors.pop(TEST3[1].key).endswith(f"malformed completion response: {detail}")
+        assert set(errors.values()) == {None}
+        assert split_result.backend_failures == 1
+
     def test_deeply_nested_body_fails_only_its_example(self, serve):
         poison_text = TEST3[1].text
 

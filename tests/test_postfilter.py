@@ -184,6 +184,50 @@ class TestSubstringMerge:
         assert out[0].first_token == "the"
 
 
+    def test_candidates_sharing_a_surface_come_out_once(self):
+        out = filter_and_merge(
+            [cand("water", 0.5, {0: 0.5}), cand("water", 0.7, {1: 0.2}), cand("ice", 0.1)],
+            FilterConfig.permissive(),
+            TOK,
+        )
+        assert [(c.surface, c.combined_prob, c.per_prompt_prob) for c in out] == [
+            ("water", 0.7, {0: 0.5, 1: 0.2}), ("ice", 0.1, {}),
+        ]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="ab ", min_size=1, max_size=5),
+                st.floats(0.0, 1.0),
+                st.dictionaries(st.integers(0, 3), st.floats(0.0, 1.0), max_size=4),
+            ),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda t: t[0],
+        )
+    )
+    def test_each_candidate_joins_the_longest_maximal_surface_holding_it(self, rows):
+        surfaces = [s for s, _, _ in rows]
+        maximal = [s for s in surfaces if not any(s != t and s in t for t in surfaces)]
+        members: dict[str, list] = {m: [] for m in maximal}
+        for s, combined, per_prompt in rows:
+            host = min((m for m in maximal if s in m), key=lambda m: (-len(m), m))
+            members[host].append((combined, per_prompt))
+        expected = {}
+        for host, group in members.items():
+            per_prompt = {}
+            for _, probs in group:
+                for pid, p in probs.items():
+                    if p > 0.0:
+                        per_prompt[pid] = max(p, per_prompt.get(pid, 0.0))
+            expected[host] = (max(combined for combined, _ in group), per_prompt)
+        out = filter_and_merge(
+            [cand(s, p, pp) for s, p, pp in rows], FilterConfig.permissive(), TOK
+        )
+        assert {c.surface: (c.combined_prob, c.per_prompt_prob) for c in out} == expected
+        assert len(out) == len(maximal)
+
+
 class TestThresholds:
     def test_per_prompt_floor_is_inclusive(self):
         cfg = FilterConfig(merge_substrings=False, combined_threshold=0.0)

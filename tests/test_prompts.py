@@ -136,6 +136,12 @@ class TestUniverse:
         assert universe_size(5, 3) == 60  # 5 * 4 * 3
         assert universe_size(4, 4) == 24
 
+    @pytest.mark.parametrize("d", range(6))
+    def test_size_counts_the_universe(self, d):
+        # d > k leaves no distinct tuple past two demos, and k**d tuples up to two.
+        for k in range(8):
+            assert universe_size(k, d) == len(universe(k, d)), (k, d)
+
     def test_pairs_are_row_major(self):
         k = 4
         for i in range(k):
