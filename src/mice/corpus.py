@@ -72,9 +72,12 @@ def from_json(tp: Any, value: Any) -> Any:
     """Inverse of ``to_json`` for a value annotated with type ``tp``.
 
     Every init field of a dataclass must be present; mapping keys are
-    converted back to the annotated key type.
+    converted back to the annotated key type. A ``str``, ``int``, ``float``
+    or ``bool`` leaf must hold that JSON type (a ``bool`` is not an
+    ``int``; a ``float`` takes any number), and ``None`` fits only an
+    ``Optional``; anything else raises ``TypeError``.
     """
-    return None if value is None else _codec(tp)[1](value)
+    return _codec(tp)[1](value)
 
 
 def _same(value: Any, memo: Optional[dict] = None) -> Any:
@@ -90,6 +93,22 @@ def _only(kind: type, decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
     return checked
 
 
+# Each leaf type's JSON name and the exact types of its decoded values.
+_LEAVES = {str: ("a string", (str,)), int: ("an integer", (int,)),
+           float: ("a number", (int, float)), bool: ("a boolean", (bool,))}
+
+
+def _leaf(tp: type) -> Callable[[Any], Any]:
+    """The decoder of a JSON value of leaf type ``tp``, which it checks and returns as is."""
+    name, kinds = _LEAVES[tp]
+
+    def checked(value: Any) -> Any:
+        if type(value) in kinds:
+            return value
+        raise TypeError(f"expected {name}, not {value!r}")
+    return checked
+
+
 @lru_cache(maxsize=None)
 def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
     """``(encode, decode)`` for values annotated ``tp``, compiled once from its
@@ -102,20 +121,18 @@ def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
     origin, args = get_origin(tp) or tp, get_args(tp)
     if origin in (Union, types.UnionType):
         ((enc, dec),) = (_codec(a) for a in args if a is not type(None))
-        return (enc, dec) if enc is dec is _same else (
-            lambda v, memo: v if v is None else enc(v, memo),
-            lambda v: v if v is None else dec(v))
+        return (enc if enc is _same else lambda v, memo: v if v is None else enc(v, memo),
+                lambda v: v if v is None else dec(v))
     if origin in (tuple, list):
         enc, dec = _codec(args[0] if args else Any)
-        return ((lambda v, memo: list(v)), _only(list, origin)) if enc is _same else (
-            (lambda v, memo: [enc(x, memo) for x in v]),
-            _only(list, lambda v: origin(map(dec, v))))
+        return ((lambda v, memo: list(v)) if enc is _same else
+                (lambda v, memo: [enc(x, memo) for x in v]),
+                _only(list, origin if dec is _same else lambda v: origin(map(dec, v))))
     if origin in (dict, Mapping):
         key, value = args or (str, Any)
         enc, dec = _codec(value)
-        if key is str and enc is _same:
-            return (lambda m, memo: dict(m)), _only(dict, _same)
-        return ((lambda m, memo: {str(k): v for k, v in m.items()}) if enc is _same else
+        return ((lambda m, memo: dict(m)) if key is str and enc is _same else
+                (lambda m, memo: {str(k): v for k, v in m.items()}) if enc is _same else
                 (lambda m, memo: {str(k): enc(v, memo) for k, v in m.items()}),
                 _only(dict, lambda m: {key(k): dec(v) for k, v in m.items()}))
     if is_dataclass(tp):
@@ -133,7 +150,7 @@ def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
         return (lambda v, memo: v.value), tp
     if tp is Any:  # an item of an unparameterized container
         return (lambda v, memo: _codec(type(v))[0](v, memo)), _same
-    return _same, _same
+    return _same, _leaf(tp)
 
 
 @dataclass(frozen=True)

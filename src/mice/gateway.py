@@ -364,11 +364,12 @@ class MockBackend:
                 raise ValueError(f"unknown mock fixture mode: {mode}")
             entries = [
                 ScriptedEntry(
-                    answer=e["answer"].replace(*swap),
-                    suffix=e.get("suffix"),
-                    contains=tuple(e.get("contains", ())),
-                    slot_distributions=tuple(map(dict, e.get("slot_distributions", ()))),
-                    slot_completions=dict(e.get("slot_completions", {})),
+                    answer=from_json(str, e["answer"]).replace(*swap),
+                    suffix=from_json(Optional[str], e.get("suffix")),
+                    contains=from_json(tuple[str, ...], e.get("contains", [])),
+                    slot_distributions=from_json(tuple[Mapping[str, float], ...],
+                                                 e.get("slot_distributions", [])),
+                    slot_completions=from_json(Mapping[str, str], e.get("slot_completions", {})),
                 )
                 for e in payload.get("entries", ())
             ]
@@ -425,7 +426,8 @@ def parse_response(payload: dict) -> Generation:
         top_probs: tuple[Mapping[str, float], ...] = ()
         lp = choice.get("logprobs")
         if lp:
-            tokens = from_json(tuple[str, ...], lp.get("tokens", []))
+            # A JSON array; ``Generation`` checks that each token is a string.
+            tokens = from_json(tuple, lp.get("tokens", []))
             raw = lp.get("top_logprobs") or [{} for _ in tokens]
             top_probs = tuple(
                 {tok: math.exp(v) for tok, v in (entry or {}).items()} for entry in raw
@@ -437,7 +439,11 @@ def parse_response(payload: dict) -> Generation:
 
 # As in ``http.client``: the longest line, and the most headers, a reply may have.
 _MAX_LINE, _MAX_HEADERS = 65536, 100
+# The longest reply body read: a 32 x 1,024 embedding batch is ~0.7 MB of JSON.
+_MAX_BODY = 16 * 2**20
 _STATUS_RE = re.compile(rb"(HTTP/\d\.\d) +([1-9]\d\d)(?:\s|$)")
+# The digits of a body length in decimal (``Content-Length``) or hex (a chunk size), by base.
+_DIGITS = {10: b"0123456789", 16: b"0123456789ABCDEFabcdef"}
 
 
 class RemoteDisconnected(ConnectionResetError):
@@ -455,13 +461,16 @@ def _line(reader: BinaryIO, what: str) -> bytes:
     return text
 
 
-def _body(reader: BinaryIO, length: bytes, base: int = 10) -> bytes:
-    try:
-        size = int(length, base)
-    except ValueError:
-        size = -1
-    if size < 0 or len(data := reader.read(size)) < size:
-        raise ProtocolError(f"reply body does not match its length {length.strip()!r}")
+def _body(reader: BinaryIO, length: bytes, base: int, room: int) -> bytes:
+    """The next ``length`` bytes (digits in ``base``); a length over ``room`` reads nothing."""
+    if not length or length.translate(None, _DIGITS[base]):
+        raise ProtocolError(f"reply body length {length[:80]!r} is not a number")
+    # Over 16 significant digits is over any ``room``, and ``int`` refuses over 4,300.
+    digits = length.lstrip(b"0")
+    if len(digits) > 16 or (size := int(digits or b"0", base)) > room:
+        raise ProtocolError(f"reply body longer than {_MAX_BODY} bytes")
+    if len(data := reader.read(size)) < size:
+        raise ProtocolError(f"reply body does not match its length {length!r}")
     return data
 
 
@@ -485,17 +494,25 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
     if status in (204, 304):
         return status, keep_alive, b""
     if headers.get(b"transfer-encoding") == b"chunked":
-        chunks = []
-        while chunk := _body(reader, _line(reader, "chunk size").partition(b";")[0], 16):
+        chunks, room = [], _MAX_BODY
+        # A chunk size may be followed by whitespace, then extensions after a ";".
+        while chunk := _body(reader, _line(reader, "chunk size").partition(b";")[0].rstrip(),
+                             16, room):
             chunks.append(chunk)
+            room -= len(chunk)
             if reader.read(2) != b"\r\n":
                 raise ProtocolError("chunk data not followed by CRLF")
         while _line(reader, "trailer").strip():  # the last-chunk's trailer, then a blank line
             pass
         return status, keep_alive, b"".join(chunks)
     if b"content-length" in headers:
-        return status, keep_alive, _body(reader, headers[b"content-length"])
-    return status, False, reader.read()
+        if len(headers) < len(fields) and len(  # only a repeated field name can repeat it
+                {v.strip() for n, _, v in fields if n.strip().lower() == b"content-length"}) > 1:
+            raise ProtocolError("reply has Content-Length fields that differ")
+        return status, keep_alive, _body(reader, headers[b"content-length"], 10, _MAX_BODY)
+    if len(data := reader.read(_MAX_BODY + 1)) > _MAX_BODY:
+        raise ProtocolError(f"reply body longer than {_MAX_BODY} bytes")
+    return status, False, data
 
 
 # A pooled connection: its socket, the reader its replies are parsed from, its EOF poller.
@@ -516,7 +533,9 @@ class _JSONTransport:
     space or control character in its host or path, or a line break in
     ``token``, would break the request head; either raises ``ValueError`` at
     construction, as does a ``max_in_flight`` below 1 or a ``timeout`` that
-    is not positive. Each request is one write.
+    is not positive. Each request is one write. ``timeout`` bounds each
+    socket operation (connect, send, one read), not the whole request, and
+    no reply body may pass ``_MAX_BODY`` bytes.
     ``_read_reply`` skips 1xx replies and frames a body by chunked transfer
     coding, else ``Content-Length``, else the connection's end; 204 and 304
     have none. Transport errors, misframed replies and 5xx responses are

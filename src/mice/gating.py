@@ -31,26 +31,36 @@ class HashingEmbedder:
     vectors are L2-normalized. Bucket 0 is reserved for empty texts so they
     embed to a fixed unit vector instead of zero. No model weights, fully
     reproducible across platforms.
+
+    Each instance remembers the bucket of every distinct token it has
+    hashed, so a token is digested once per embedder however often it
+    recurs. The memo holds one entry per distinct token seen and is never
+    shared: a fresh embedder starts empty.
     """
 
     def __init__(self, dim: int = 1024):
         if dim < 2:
             raise ValueError("dim must be at least 2")
         self.dim = dim
+        self._buckets: dict[str, int] = {}
 
     def _bucket(self, token: str) -> int:
+        """``token``'s bucket, digested and remembered the first time it is met."""
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return 1 + int.from_bytes(digest, "big") % (self.dim - 1)
+        bucket = self._buckets[token] = 1 + int.from_bytes(digest, "big") % (self.dim - 1)
+        return bucket
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        buckets = self._buckets
         for row, text in enumerate(texts):
             tokens = _WORD_RE.findall(text.lower())
             if not tokens:
                 out[row, 0] = 1.0
                 continue
-            for tok in tokens:
-                out[row, self._bucket(tok)] += 1.0
+            # Buckets start at 1, so a remembered one is never falsy.
+            out[row] = np.bincount([buckets.get(tok) or self._bucket(tok) for tok in tokens],
+                                   minlength=self.dim)
             out[row] /= np.linalg.norm(out[row])
         return out
 

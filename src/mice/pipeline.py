@@ -444,16 +444,17 @@ def _decode_header(header: dict) -> RunConfig:
 def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> ResolutionResult:
     """An entry finished again from its stored generations; the positions that
     stored equal generations share one, so ``_finish`` extracts it once."""
-    key, stored = entry["key"], entry.get("generations") or ()
+    key, stored = from_json(str, entry["key"]), entry.get("generations") or ()
     gold = from_json(Optional[tuple[str, ...]], entry.get("gold"))
+    error = from_json(Optional[str], entry.get("error"))
     distinct: list = []
     for generation in stored:
         if generation not in distinct:
             distinct.append(generation)
     decoded = from_json(tuple[Generation, ...], distinct)
     weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
-    if entry.get("error") or not stored:
-        return _failed(key, gold, entry.get("error"))
+    if error or not stored:
+        return _failed(key, gold, error)
     prompt_ids = from_json(tuple[int, ...], entry.get("prompt_ids", []))
     if len(prompt_ids) != len(stored):
         raise ValueError(f"{len(prompt_ids)} prompt ids for {len(stored)} generations")

@@ -191,6 +191,8 @@ class Reply:
     as a server whose keep-alive timeout expires does. ``raw``, when given,
     is written verbatim in place of the whole reply, status line and headers
     included, so a test can send framing no well-behaved server would.
+    With ``pause``, ``raw`` goes out one line per write, each after a pause
+    of that many seconds.
     """
 
     status: int = 200
@@ -198,6 +200,7 @@ class Reply:
     headers: Mapping[str, str] = field(default_factory=dict)
     hang_up: bool = False
     raw: Optional[bytes] = None
+    pause: float = 0.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -217,7 +220,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         reply = outcome if isinstance(outcome, Reply) else Reply(outcome)
         if reply.raw is not None:
-            self.wfile.write(reply.raw)
+            for line in reply.raw.splitlines(keepends=True) if reply.pause else [reply.raw]:
+                time.sleep(reply.pause)
+                self.wfile.write(line)
             self.close_connection = reply.hang_up
             return
         payload = self.server.script.body if reply.payload is None else reply.payload

@@ -633,6 +633,37 @@ class TestReplay:
         assert run(["replay", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: manifest {manifest} line 2: {detail}\n"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda entry: entry.update(gold=[5]), lambda entry: entry.update(key=5)],
+        ids=["gold-surface-not-a-string", "key-not-a-string"],
+    )
+    def test_an_entry_leaf_of_the_wrong_type_names_file_and_line(self, tmp_path, capsys, edit):
+        manifest = self.make_manifest(tmp_path)
+        lines = self.edit_entry(edit)(manifest.read_text(encoding="utf-8").splitlines())
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["replay", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr() == ("", f"error: manifest {manifest} line 2: "
+                                           "expected a string, not 5\n")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("suffix", 5), ("contains", [5]), ("answer", 5), ("slot_completions", {"water": 5})],
+    ids=["suffix", "contains", "answer", "slot-completion"],
+)
+def test_a_scripted_entry_leaf_of_the_wrong_type_names_the_fixture(tmp_path, capsys,
+                                                                   field, value):
+    fixture = json.loads(Path(SCRIPTED).read_text(encoding="utf-8"))
+    fixture["entries"][0][field] = value
+    path = tmp_path / "mock.json"
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    argv = ["resolve", "--corpus", CLI_TEST, "--train", TRAIN, "--k", "4", "--seed", "1",
+            "--lm-mock", str(path)]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: mock fixture {path}: expected a string, not 5\n")
+
 
 class TestDistill:
     def distill_args(self, tmp_path, *extra):

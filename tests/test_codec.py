@@ -1,7 +1,8 @@
-"""The dataclass codec, ``to_json``/``from_json``: round trips and shared objects."""
+"""The dataclass codec, ``to_json``/``from_json``: round trips, shared objects, decode checks."""
 import json
 import math
 import re
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -204,3 +205,36 @@ def test_a_container_decodes_only_from_its_json_kind(tp, value, detail):
     # is the array or object the annotation promises.
     with pytest.raises(TypeError, match=re.escape(detail)):
         from_json(tp, value)
+
+
+@pytest.mark.parametrize(
+    "tp, value, detail",
+    [
+        (str, 5, "expected a string, not 5"),
+        (int, True, "expected an integer, not True"),
+        (int, 1.5, "expected an integer, not 1.5"),
+        (float, "0.5", "expected a number, not '0.5'"),
+        (float, False, "expected a number, not False"),
+        (bool, 1, "expected a boolean, not 1"),
+        (tuple[str, ...], ["water", 5], "expected a string, not 5"),
+        (dict[str, float], {"water": None}, "expected a number, not None"),
+        (Span, {"start": 0, "end": 5, "surface": None}, "expected a string, not None"),
+        (Optional[int], "1", "expected an integer, not '1'"),
+        (Span, None, "expected a JSON object, not None"),
+    ],
+    ids=["str-from-int", "int-from-bool", "int-from-float", "float-from-string",
+         "float-from-bool", "bool-from-int", "tuple-item", "mapping-value",
+         "dataclass-field", "optional-leaf", "dataclass-from-null"],
+)
+def test_a_leaf_decodes_only_from_its_json_type(tp, value, detail):
+    with pytest.raises(TypeError, match=re.escape(detail)):
+        from_json(tp, value)
+
+
+@pytest.mark.parametrize(
+    "tp, value",
+    [(float, 1), (float, 0.5), (int, 3), (bool, False), (str, ""), (Optional[str], None)],
+)
+def test_a_leaf_of_its_json_type_decodes_as_is(tp, value):
+    decoded = from_json(tp, value)
+    assert decoded == value and type(decoded) is type(value)

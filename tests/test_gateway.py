@@ -586,6 +586,74 @@ class TestTransport:
             assert len(server.calls) == 3
             assert sleeps == [0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: +%d" % len(GOOD_BYTES)),
+             "length b'\\+%d' is not a number" % len(GOOD_BYTES)),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 1_0", b'{"a": 123}'),
+             "length b'1_0' is not a number"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked",
+                       b"+%x\r\n%s\r\n0\r\n\r\n" % (len(GOOD_BYTES), GOOD_BYTES)),
+             "is not a number"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked",
+                       b" %x\r\n%s\r\n0\r\n\r\n" % (len(GOOD_BYTES), GOOD_BYTES)),
+             "is not a number"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nContent-Length: 2"
+                       % len(GOOD_BYTES)), "Content-Length fields that differ"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000000", b""),
+             "longer than 16777216 bytes"),
+            (raw_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked", b"1000001\r\n"),
+             "longer than 16777216 bytes"),
+        ],
+        ids=["length-signed", "length-underscored", "chunk-size-signed", "chunk-size-spaced",
+             "lengths-differ", "length-over-the-bound", "chunk-over-the-bound"],
+    )
+    def test_a_bad_body_length_is_a_protocol_error(self, serve, reply, error):
+        for send, _, server, sleeps in both_clients(serve, [reply] * 3, timeout=5):
+            started = time.monotonic()
+            with pytest.raises(BackendError, match=f"ProtocolError: .*{error}") as info:
+                send()
+            assert time.monotonic() - started < 2
+            assert info.value.attempts == 3
+            assert sleeps == [0.5, 1.0]
+
+    def test_chunks_over_the_bound_together_are_a_protocol_error(self, serve, monkeypatch):
+        monkeypatch.setattr(gateway, "_MAX_BODY", len(GOOD_BYTES) - 1)
+        reply = raw_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked",
+                          b"5\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n"
+                          % (GOOD_BYTES[:5], len(GOOD_BYTES) - 5, GOOD_BYTES[5:]))
+        backend, _, sleeps = http_backend(serve, [reply] * 3, timeout=5)
+        with pytest.raises(BackendError, match="ProtocolError: reply body longer than"):
+            backend.complete("p", DecodeParams.greedy())
+        assert sleeps == [0.5, 1.0]
+
+    def test_a_body_to_the_connections_end_is_read_up_to_the_bound(self, serve, monkeypatch):
+        monkeypatch.setattr(gateway, "_MAX_BODY", len(GOOD_BYTES))
+        fits = raw_reply(b"HTTP/1.1 200 OK", hang_up=True)
+        over = raw_reply(b"HTTP/1.1 200 OK", GOOD_BYTES + b" ", hang_up=True)
+        backend, _, sleeps = http_backend(serve, [fits] + [over] * 3, timeout=5)
+        assert backend.complete("p", DecodeParams.greedy()).text == "water"
+        with pytest.raises(BackendError, match="ProtocolError: reply body longer than"):
+            backend.complete("q", DecodeParams.greedy())
+        assert sleeps == [0.5, 1.0]
+
+    def test_a_batch_of_32_embeddings_of_1024_fits_the_bound(self, serve):
+        vectors = np.random.default_rng(0).random((32, 1024)).tolist()
+        server = serve([Reply(payload={"vectors": vectors})])
+        embedder = server.client(RemoteEmbedder, sleep=lambda s: None)
+        assert embedder.embed(["p"] * 32).tolist() == vectors
+
+    def test_timeout_bounds_each_read_not_the_whole_reply(self, serve):
+        # Four writes 0.1 s apart: each read waits under the timeout, the reply over it.
+        reply = Reply(raw=sized().raw, pause=0.1)
+        backend, server, sleeps = http_backend(serve, [reply], timeout=0.25)
+        started = time.monotonic()
+        assert backend.complete("p", DecodeParams.greedy()).text == "water"
+        assert 0.25 < time.monotonic() - started < 1
+        assert len(server.calls) == 1
+        assert sleeps == []
+
     def test_runs_without_the_requests_package(self, serve, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)
         backend, _, _ = http_backend(serve, [200])

@@ -1,12 +1,15 @@
 """Hashing embedder, cosine similarity, and softmax gating."""
+import hashlib
 import math
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mice import gating
 from mice.gateway import BackendError, RemoteEmbedder
 from mice.gating import (
     GatingDistribution,
@@ -72,6 +75,53 @@ class TestHashingEmbedder:
             ]
         )
         assert cosine(a, b) > cosine(a, c)
+
+    @staticmethod
+    def reference(texts, dim):
+        """The embedding written out token by token: one digest and one ``+= 1.0`` each."""
+        out = np.zeros((len(texts), dim))
+        for row, text in enumerate(texts):
+            tokens = re.findall(r"[a-z0-9]+", text.lower())
+            if not tokens:
+                out[row, 0] = 1.0
+                continue
+            for tok in tokens:
+                digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
+                out[row, 1 + int.from_bytes(digest, "big") % (dim - 1)] += 1.0
+            out[row] /= np.linalg.norm(out[row])
+        return out
+
+    # Empty, punctuation-only, repeated-token and non-ASCII texts among the draws.
+    TEXTS = st.lists(st.one_of(
+        st.sampled_from(["", "...", "water water water", "Wasser, Öl und Eis", "1,4-dioxane"]),
+        st.text(alphabet="ab9 ,.é", max_size=20),
+        st.text(max_size=20),
+    ), max_size=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=TEXTS, earlier=TEXTS, dim=st.sampled_from([2, 3, 64, 1024]))
+    def test_matches_the_per_token_reference_fresh_or_warm(self, texts, earlier, dim):
+        expected = self.reference(texts, dim)
+        assert np.array_equal(HashingEmbedder(dim).embed(texts), expected)
+        warm = HashingEmbedder(dim)  # every token of ``texts`` already remembered
+        warm.embed(earlier + texts)
+        assert np.array_equal(warm.embed(texts), expected)
+
+    def test_each_distinct_token_is_digested_once_per_embedder(self, monkeypatch):
+        digested = []
+        blake2b = hashlib.blake2b
+
+        def counting(data, **kwargs):
+            digested.append(data)
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(gating.hashlib, "blake2b", counting)
+        emb = HashingEmbedder(64)
+        emb.embed(["water and brine", "brine, then water"])
+        emb.embed(["water and ice", "ice water"])
+        assert sorted(digested) == sorted({b"water", b"and", b"brine", b"then", b"ice"})
+        HashingEmbedder(64).embed(["water"])
+        assert digested.count(b"water") == 2
 
 
 TIMEOUT = 0.25
