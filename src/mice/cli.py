@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .combine import canonicalize
-from .corpus import Dataset, load_corpus, read_json, sample_kshot, save_corpus, to_json
+from .corpus import Dataset, from_json, load_corpus, read_json, sample_kshot, save_corpus, to_json
 from .detector import default_rules, detect_anaphors, evaluate_rules, load_rules
 from .distill import DropLog, export_records, generate_pseudo_labels, load_unlabeled_docs
 from .gateway import (
@@ -183,7 +183,7 @@ def _decode_template(payload: dict) -> Template:
     unknown = set(payload) - {f.name for f in fields(Template)}
     if unknown:
         raise UsageError(f"unknown template fields: {sorted(unknown)}")
-    return Template(**payload)
+    return Template(**{name: from_json(str, value) for name, value in payload.items()})
 
 
 def _build_backend(args: argparse.Namespace, template: Template,
@@ -412,9 +412,10 @@ def _decode_predictions(payload: dict) -> dict[str, list[str]]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _check_outputs(args.report)
-    predictions = read_json(args.predictions, "predictions", _decode_predictions)
     gold = {ex.key: ex.gold_surfaces() for ex in load_corpus(args.corpus)}
-    report = micro_f1(predictions, gold)
+    # Scored inside the reader, so a key set that differs from gold names the file.
+    report = read_json(args.predictions, "predictions",
+                       lambda payload: micro_f1(_decode_predictions(payload), gold))
     print(report.to_table())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")

@@ -49,7 +49,8 @@ def read_json(path: str | Path, what: str, decode: Callable[[Any], Any],
                 if line.strip():
                     values.append(decode(json.loads(line)))
             return values
-    except (OSError, AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         where = f" line {line_no}" if line_no else ""
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise CorpusError(f"{what} {path}{where}: {detail}") from exc
@@ -89,7 +90,8 @@ def _only(kind: type, decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
     def checked(value: Any) -> Any:
         if isinstance(value, kind):
             return decode(value)
-        raise TypeError(f"expected a JSON {'array' if kind is list else 'object'}, not {value!r}")
+        name = "array" if kind is list else "object"
+        raise TypeError(f"expected a JSON {name}, not {value!r:.80}")
     return checked
 
 
@@ -105,7 +107,7 @@ def _leaf(tp: type) -> Callable[[Any], Any]:
     def checked(value: Any) -> Any:
         if type(value) in kinds:
             return value
-        raise TypeError(f"expected {name}, not {value!r}")
+        raise TypeError(f"expected {name}, not {value!r:.80}")
     return checked
 
 
@@ -199,22 +201,15 @@ class Example:
         return [s.surface for s in sorted(self.gold_antecedents, key=lambda s: s.start)]
 
     def validate(self) -> None:
-        n = len(self.text)
-        for name, span in [("anaphor", self.anaphor)] + [
-            ("antecedent", a) for a in (self.gold_antecedents or ())
-        ]:
-            if not (0 <= span.start < span.end <= n):
-                raise CorpusError(f"invalid span: {name} [{span.start}, {span.end})")
-            if span.surface != self.text[span.start : span.end]:
-                raise CorpusError(f"surface mismatch: {name} [{span.start}, {span.end})")
-        if self.gold_antecedents is not None:
-            seen: set[tuple[int, int]] = set()
-            for a in self.gold_antecedents:
-                if a.end > self.anaphor.start:
-                    raise CorpusError("antecedent follows anaphor")
-                if a.offsets() in seen:
-                    raise CorpusError(f"duplicate antecedent: [{a.start}, {a.end})")
-                seen.add(a.offsets())
+        """Antecedents precede the anaphor and none repeats; ``Span.from_offsets``
+        has checked each span's bounds and sliced its surface from ``text``."""
+        seen: set[tuple[int, int]] = set()
+        for a in self.gold_antecedents or ():
+            if a.end > self.anaphor.start:
+                raise CorpusError("antecedent follows anaphor")
+            if a.offsets() in seen:
+                raise CorpusError(f"duplicate antecedent: [{a.start}, {a.end})")
+            seen.add(a.offsets())
 
 
 @dataclass(frozen=True)
@@ -245,31 +240,31 @@ class Dataset:
 class KShotSample:
     """A seeded draw of k training examples, without replacement."""
 
-    k: int
     seed: int
     examples: tuple[Example, ...]
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise CorpusError(f"k-shot sample needs at least one example, got k={self.k}")
-        if len(self.examples) != self.k:
-            raise CorpusError(f"k-shot sample of size {len(self.examples)} does not match k={self.k}")
+    @property
+    def k(self) -> int:
+        return len(self.examples)
 
     def __len__(self) -> int:
-        return self.k
+        return len(self.examples)
 
     def __iter__(self) -> Iterator[Example]:
         return iter(self.examples)
 
 
+# The leaves of a corpus record that are read by hand.
+_text, _spans = _codec(str)[1], _codec(Optional[list])[1]
+
+
 def _example_from_record(keys: set[str], record: dict) -> Example:
-    doc_id, text, anaphor = record["doc_id"], record["text"], record["anaphor"]
-    antecedents = record.get("antecedents")
+    text, antecedents = _text(record["text"]), _spans(record.get("antecedents"))
 
     def span(offsets: dict) -> Span:
         return Span.from_offsets(text, offsets["start"], offsets["end"])
 
-    example = Example(doc_id, text, span(anaphor),
+    example = Example(_text(record["doc_id"]), text, span(record["anaphor"]),
                       None if antecedents is None else tuple(map(span, antecedents)))
     example.validate()
     if (key := example.key) in keys:
@@ -336,7 +331,9 @@ def sample_kshot(dataset: Dataset, k: int, seed: int) -> KShotSample:
     implementations can match it.
     """
     n = len(dataset)
+    if k < 1:
+        raise CorpusError(f"k-shot sample needs at least one example, got k={k}")
     if k > n:
         raise ValueError(f"k={k} exceeds dataset size {n}")
     chosen = tuple(dataset.examples[i] for i in seeded_prefix(n, k, [seed]))
-    return KShotSample(k=k, seed=seed, examples=chosen)
+    return KShotSample(seed=seed, examples=chosen)

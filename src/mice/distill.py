@@ -189,10 +189,7 @@ def build_record(
 
 
 def _unlabeled_doc(record: dict) -> tuple[str, str]:
-    doc_id, text = record["doc_id"], record["text"]
-    if not isinstance(text, str):
-        raise TypeError(f"text must be a string, not {type(text).__name__}")
-    return doc_id, text
+    return from_json(str, record["doc_id"]), from_json(str, record["text"])
 
 
 def load_unlabeled_docs(path: str | Path) -> list[tuple[str, str]]:

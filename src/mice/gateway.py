@@ -29,7 +29,7 @@ import ssl
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Optional, Protocol, Sequence
@@ -355,6 +355,19 @@ class MockBackend:
         swap = (Template().separator, template.separator)
         path = Path(path)
 
+        def entry(e: dict) -> ScriptedEntry:
+            unknown = set(e) - {f.name for f in fields(ScriptedEntry)}
+            if unknown:
+                raise ValueError(f"unknown scripted entry fields: {sorted(unknown)}")
+            return ScriptedEntry(
+                answer=from_json(str, e["answer"]).replace(*swap),
+                suffix=from_json(Optional[str], e.get("suffix")),
+                contains=from_json(tuple[str, ...], e.get("contains", [])),
+                slot_distributions=from_json(tuple[Mapping[str, float], ...],
+                                             e.get("slot_distributions", [])),
+                slot_completions=from_json(Mapping[str, str], e.get("slot_completions", {})),
+            )
+
         def decode(payload: dict) -> "MockBackend":
             mode = payload.get("mode", "scripted")
             if mode == "oracle-echo":
@@ -362,18 +375,8 @@ class MockBackend:
                 return cls.oracle_echo(dataset, template)
             if mode != "scripted":
                 raise ValueError(f"unknown mock fixture mode: {mode}")
-            entries = [
-                ScriptedEntry(
-                    answer=from_json(str, e["answer"]).replace(*swap),
-                    suffix=from_json(Optional[str], e.get("suffix")),
-                    contains=from_json(tuple[str, ...], e.get("contains", [])),
-                    slot_distributions=from_json(tuple[Mapping[str, float], ...],
-                                                 e.get("slot_distributions", [])),
-                    slot_completions=from_json(Mapping[str, str], e.get("slot_completions", {})),
-                )
-                for e in payload.get("entries", ())
-            ]
-            default = payload.get("default_answer", "").replace(*swap)
+            entries = [entry(e) for e in payload.get("entries", ())]
+            default = from_json(str, payload.get("default_answer", "")).replace(*swap)
             return cls(entries, separator=template.separator, default_answer=default)
 
         return read_json(path, "mock fixture", decode)

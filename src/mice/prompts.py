@@ -19,7 +19,7 @@ budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import permutations
@@ -65,12 +65,6 @@ class Template:
     demonstration_joiner: str = "\n\n"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, str):
-                raise ValueError(
-                    f"template field {f.name} must be a string, not {type(value).__name__}"
-                )
         try:
             self.question_pattern.format(anaphor="the mixture")
         except (AttributeError, IndexError, KeyError, ValueError) as exc:

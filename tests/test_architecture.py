@@ -76,6 +76,21 @@ def test_one_seeded_shuffle():
     }
 
 
+def test_leaf_types_are_checked_where_records_are_decoded():
+    # The codec's leaf decoders are the one type check of a value read from a
+    # file. Elsewhere isinstance sorts exceptions and results, and three leaf
+    # checks stay for what they report: the example key of a prediction, the
+    # value of a span offset, and a generation's text from the wire.
+    assert uses_by_module({"isinstance"}, calls_only=True) == {
+        "cli.py": {("_decode_predictions", "isinstance")},
+        "corpus.py": {("read_json", "isinstance"), ("checked", "isinstance"),
+                      ("_codec", "isinstance"), ("from_offsets", "isinstance")},
+        "distill.py": {("generate_pseudo_labels", "isinstance")},
+        "gateway.py": {("__post_init__", "isinstance")},
+        "pipeline.py": {("resolve_split", "isinstance"), ("iter_results", "isinstance")},
+    }
+
+
 def test_one_demo_order():
     # Both prompt builders order their demos in prompts._order, the one place
     # a mixed order is drawn; seeded_prefix is otherwise called only to sample

@@ -1,27 +1,32 @@
 """Command-line workflows: exit codes, outputs, files."""
 import argparse
+import copy
 import functools
 import gc
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 from pathlib import Path
 
 import pytest
 from conftest import FIXTURES
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mice
 from mice import cli
 from mice.cli import run
-from mice.corpus import load_corpus, sample_kshot
+from mice.corpus import load_corpus, sample_kshot, to_json
 from mice.distill import load_records
 from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
 from mice.pipeline import Resolver, RunConfig, replay_manifest, write_manifest
@@ -650,13 +655,14 @@ class TestReplay:
 
 @pytest.mark.parametrize(
     "field, value",
-    [("suffix", 5), ("contains", [5]), ("answer", 5), ("slot_completions", {"water": 5})],
-    ids=["suffix", "contains", "answer", "slot-completion"],
+    [("suffix", 5), ("contains", [5]), ("answer", 5), ("slot_completions", {"water": 5}),
+     ("default_answer", 5)],
+    ids=["suffix", "contains", "answer", "slot-completion", "default-answer"],
 )
 def test_a_scripted_entry_leaf_of_the_wrong_type_names_the_fixture(tmp_path, capsys,
                                                                    field, value):
     fixture = json.loads(Path(SCRIPTED).read_text(encoding="utf-8"))
-    fixture["entries"][0][field] = value
+    (fixture if field == "default_answer" else fixture["entries"][0])[field] = value
     path = tmp_path / "mock.json"
     path.write_text(json.dumps(fixture), encoding="utf-8")
     argv = ["resolve", "--corpus", CLI_TEST, "--train", TRAIN, "--k", "4", "--seed", "1",
@@ -896,30 +902,42 @@ INPUT_FLAGS = {
     "manifest": ("manifest", True, lambda path: ["replay", "--manifest", path]),
 }
 NOT_JSON = "{oops"
+# A record whose text holds an antecedent, "water" [4, 9), and an
+# anaphor, "the mixture" [16, 27).
+TEXT = "Add water. Then the mixture was stirred."
+SPANS = '"anaphor": {"start": 16, "end": 27}, "antecedents": [{"start": 4, "end": 9}]'
 # Per flag: a value of the wrong top-level type, then a record with a
-# missing field (or, where every field is optional, a mistyped one).
+# missing field (or, where every field is optional, a mistyped one), then
+# any input that was once read without an error.
 WRONG_SHAPES = {
-    "corpus": ("[1]", '{"doc_id": "a"}'),
-    "train": ("[1]", '{"doc_id": "a"}'),
-    "template": ("5", '{"separator": 1}'),
-    "lm-mock": ("[1]", '{"entries": [{"suffix": "x"}]}'),
-    "docs": ("[1]", '{"doc_id": "a"}'),
-    "unlabeled": ("[1]", '{"doc_id": "a", "text": 5}'),
-    "predictions": ('["water"]', '{"doc:0:1": "water | brine"}'),
-    "manifest": ("[1]", '{"record": "entry"}'),
+    "corpus": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a"}',
+               "text-array": f'{{"doc_id": "a", "text": {json.dumps(list(TEXT))}, {SPANS}}}',
+               "antecedents-object": f'{{"doc_id": "a", "text": "{TEXT}", '
+                                     '"anaphor": {"start": 16, "end": 27}, "antecedents": {}}'},
+    "train": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a"}',
+              "doc-id-number": f'{{"doc_id": 7, "text": "{TEXT}", {SPANS}}}'},
+    "template": {"wrong-type": "5", "bad-field": '{"separator": 1}'},
+    "lm-mock": {"wrong-type": "[1]", "bad-field": '{"entries": [{"suffix": "x"}]}',
+                "unknown-entry-key": '{"entries": [{"sufix": "x", "answer": "water"}]}'},
+    "docs": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a"}'},
+    "unlabeled": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a", "text": 5}',
+                  "doc-id-number": f'{{"doc_id": 5, "text": "{TEXT}"}}'},
+    "predictions": {"wrong-type": '["water"]', "bad-field": '{"doc:0:1": "water | brine"}'},
+    "manifest": {"wrong-type": "[1]", "bad-field": '{"record": "entry"}'},
 }
+MALFORMED = [(flag, case) for flag, shapes in WRONG_SHAPES.items()
+             for case in ("not-json", *shapes, "directory")]
 
 
-@pytest.mark.parametrize("flag", INPUT_FLAGS)
-@pytest.mark.parametrize("case", ["not-json", "wrong-type", "bad-field", "directory"])
+@pytest.mark.parametrize("flag, case", MALFORMED,
+                         ids=[f"{case}-{flag}" for flag, case in MALFORMED])
 def test_malformed_input_file_is_exit_one(tmp_path, capsys, flag, case):
     what, jsonl, argv = INPUT_FLAGS[flag]
     path = tmp_path / f"input.{flag}"
     if case == "directory":
         path.mkdir()
     else:
-        content = {"not-json": NOT_JSON, "wrong-type": WRONG_SHAPES[flag][0],
-                   "bad-field": WRONG_SHAPES[flag][1]}[case]
+        content = {"not-json": NOT_JSON, **WRONG_SHAPES[flag]}[case]
         # A leading blank line: JSONL line numbers count it.
         path.write_text("\n" + content + "\n" if jsonl else content, encoding="utf-8")
     assert run(argv(str(path))) == 1
@@ -927,6 +945,94 @@ def test_malformed_input_file_is_exit_one(tmp_path, capsys, flag, case):
     where = " line 2" if jsonl and case != "directory" else ""
     assert err.startswith(f"error: {what} {path}{where}: "), err
     assert "Traceback" not in err
+    assert err.count("\n") == 1, err
+
+
+def json_lines(path):
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()
+            if line.strip()]
+
+
+@functools.cache
+def valid_inputs():
+    """Per input flag and ``--rules``: how its file is written ("json", "jsonl",
+    or "lines" of text) and its valid contents, as a JSON value or, for the
+    line formats, as the list of its lines."""
+    with tempfile.TemporaryDirectory() as directory:
+        manifest = json_lines(library_manifest(Path(directory)))
+    rules = (Path(mice.__file__).parent / "data" / "default_rules.txt").read_text(encoding="utf-8")
+    return {
+        "corpus": ("jsonl", json_lines(CLI_TEST)),
+        "train": ("jsonl", json_lines(TRAIN)),
+        "template": ("json", to_json(Template())),
+        "lm-mock": ("json", json.loads(Path(SCRIPTED).read_text(encoding="utf-8"))),
+        "docs": ("jsonl", json_lines(UNLABELED)),
+        "unlabeled": ("jsonl", json_lines(UNLABELED)),
+        "predictions": ("json", TestEval().gold_predictions()),
+        "manifest": ("jsonl", manifest),
+        "rules": ("lines", rules.splitlines()),
+    }
+
+
+def value_paths(value, path=()):
+    """The path of ``value`` and of every value inside it."""
+    yield path
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from value_paths(item, path + (key,))
+
+
+DROP = "<drop>"
+# Each mutation puts one of these in place of a value, or drops it: a
+# stand-in of each JSON type, NaN and a huge integer.
+REPLACEMENTS = [DROP, math.nan, 10**400, 5, 1.5, "5", True, None, [], {}]
+MUTATED_FLAGS = {**INPUT_FLAGS, "rules": ("rules", False, lambda path: [
+    "detect", "--docs", UNLABELED, "--rules", path])}
+
+
+def mutated(contents, path, new):
+    """``contents`` with the value at ``path`` replaced by ``new``, or dropped."""
+    if not path:
+        return new
+    contents = copy.deepcopy(contents)
+    *parents, last = path
+    holder = functools.reduce(operator.getitem, parents, contents)
+    if new is DROP:
+        del holder[last]
+    else:
+        holder[last] = new
+    return contents
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_single_value_mutation_of_an_input_escapes_as_a_traceback(tmp_path, capsys, data):
+    flag = data.draw(st.sampled_from(list(MUTATED_FLAGS)), label="flag")
+    form, contents = valid_inputs()[flag]
+    # A line file's list of lines is not itself a value of the file.
+    path = data.draw(st.sampled_from([p for p in value_paths(contents) if p or form == "json"]),
+                     label="path")
+    old = functools.reduce(operator.getitem, path, contents)
+    new = data.draw(st.sampled_from([r for r in REPLACEMENTS if type(r) is not type(old)
+                                     and (path or r is not DROP)]), label="replacement")
+    values = mutated(contents, path, new)
+    if form == "json":
+        text = json.dumps(values)
+    else:  # A rules file keeps its unmutated lines as text.
+        text = "".join((value if form == "lines" and isinstance(value, str)
+                        else json.dumps(value)) + "\n" for value in values)
+    file = tmp_path / f"input.{flag}"
+    file.write_text(text, encoding="utf-8")
+    what, _, argv = MUTATED_FLAGS[flag]
+    capsys.readouterr()
+    code = run(argv(str(file)))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    if code == 1:
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {what} {file}"), err
 
 
 @pytest.mark.parametrize("command", ["resolve", "distill"])

@@ -71,16 +71,6 @@ class TestExample:
         with pytest.raises(CorpusError, match="unlabeled"):
             ex.gold_surfaces()
 
-    def test_validate_rejects_surface_mismatch(self):
-        ex = Example(
-            doc_id="d3",
-            text="Add water and brine. Then the mixture was stirred.",
-            anaphor=Span(26, 37, "the mixture"),
-            gold_antecedents=(Span(4, 9, "brine"),),
-        )
-        with pytest.raises(CorpusError, match="surface mismatch"):
-            ex.validate()
-
     def test_validate_rejects_antecedent_after_anaphor(self):
         text = "Then the mixture was mixed with water."
         ex = Example(
