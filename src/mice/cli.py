@@ -18,8 +18,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .combine import canonicalize
-from .corpus import Dataset, from_json, load_corpus, read_json, sample_kshot, save_corpus, to_json
+from .corpus import (CorpusError, Dataset, KShotSample, from_json, load_corpus, read_json,
+                     sample_kshot, save_corpus, to_json)
 from .detector import default_rules, detect_anaphors, evaluate_rules, load_rules
 from .distill import DropLog, export_records, generate_pseudo_labels, load_unlabeled_docs
 from .gateway import (
@@ -215,7 +215,7 @@ def _build_embedder(args: argparse.Namespace,
     return clients.enter_context(contextlib.closing(RemoteEmbedder(endpoint)))
 
 
-def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
+def _run_config(args: argparse.Namespace, seed: int, template: Template) -> RunConfig:
     decode_mode = DecodeMode(args.decode)
     decode = DecodeParams(
         mode=decode_mode,
@@ -235,8 +235,7 @@ def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
             max_sequence_length=args.max_seq_len,
             generation_reserve=args.gen_reserve,
         ),
-        template=(read_json(args.template, "template", _decode_template)
-                  if args.template else Template()),
+        template=template,
         decode=decode,
         filters=FilterConfig(
             max_antecedent_tokens=args.max_ante_tokens,
@@ -315,8 +314,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
-    train = load_corpus(args.train)
-    sample = sample_kshot(train, args.k, args.seed)
+    sample = _kshot(args, load_corpus(args.train), args.seed)
     if args.out:
         save_corpus(Dataset(examples=sample.examples, split_name="sample"), args.out)
     else:
@@ -325,16 +323,26 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kshot(args: argparse.Namespace, train: Dataset, seed: int) -> KShotSample:
+    """The seed's ``--k`` examples of ``--train``; a sample that cannot be drawn names the file."""
+    try:
+        return sample_kshot(train, args.k, seed)
+    except ValueError as exc:
+        raise UsageError(f"{exc} (--train {args.train})") from exc
+
+
 def _resolvers(args: argparse.Namespace, seeds: Sequence[int],
                clients: contextlib.ExitStack) -> Iterator[Resolver]:
     """Each seed's ``Resolver`` over its k-shot sample of ``--train``, in turn,
     all on one backend and embedder that ``clients`` closes."""
     train = load_corpus(args.train)
-    configs = [_run_config(args, seed) for seed in seeds]
-    backend = _build_backend(args, configs[0].template, clients)
+    template = (read_json(args.template, "template", _decode_template)
+                if args.template else Template())
+    configs = [_run_config(args, seed, template) for seed in seeds]
+    backend = _build_backend(args, template, clients)
     embedder = _build_embedder(args, clients)
     for seed, config in zip(seeds, configs):
-        yield Resolver(config, sample_kshot(train, args.k, seed), backend, embedder=embedder)
+        yield Resolver(config, _kshot(args, train, seed), backend, embedder=embedder)
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
@@ -407,7 +415,7 @@ def _decode_predictions(payload: dict) -> dict[str, list[str]]:
     for key, surfaces in payload.items():
         if not isinstance(surfaces, list) or not all(isinstance(s, str) for s in surfaces):
             raise TypeError(f"predictions for {key!r} must be a list of strings")
-    return {key: [canonicalize(s) for s in surfaces] for key, surfaces in payload.items()}
+    return payload
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -429,8 +437,11 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     drop_log = DropLog()
     with contextlib.ExitStack() as clients:
         (resolver,) = _resolvers(args, [args.seed], clients)
-        records = generate_pseudo_labels(docs, resolver.iter_results, args.count, rules,
-                                         drop_log=drop_log, checkpoint_path=args.checkpoint)
+        try:
+            records = generate_pseudo_labels(docs, resolver.iter_results, args.count, rules,
+                                             drop_log=drop_log, checkpoint_path=args.checkpoint)
+        except CorpusError as exc:  # too few anaphors, or one that covers no tokens
+            raise UsageError(f"{exc} (--unlabeled {args.unlabeled})") from exc
     export_records(records, args.out, args.format)
     if args.drops:
         Path(args.drops).write_text(

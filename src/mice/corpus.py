@@ -37,17 +37,18 @@ def read_json(path: str | Path, what: str, decode: Callable[[Any], Any],
     With ``lines``, the file is JSONL: each non-blank line is decoded in
     turn and the list of values returned. Any failure to read, parse or
     decode raises ``CorpusError("<what> <path>[ line <n>]: <detail>")``,
-    where a ``KeyError``'s detail reads ``missing field '<name>'``.
+    where a ``KeyError``'s detail reads ``missing field '<name>'``. Each JSONL
+    line is decoded from UTF-8 on its own, so a byte that is not UTF-8 names its line.
     """
     line_no = 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             if not lines:
-                return decode(json.loads(fh.read()))
+                return decode(json.loads(fh.read().decode("utf-8")))
             values = []
             for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    values.append(decode(json.loads(line)))
+                if (text := line.decode("utf-8")).strip():
+                    values.append(decode(json.loads(text)))
             return values
     except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
@@ -262,7 +263,10 @@ def _example_from_record(keys: set[str], record: dict) -> Example:
     text, antecedents = _text(record["text"]), _spans(record.get("antecedents"))
 
     def span(offsets: dict) -> Span:
-        return Span.from_offsets(text, offsets["start"], offsets["end"])
+        s = Span.from_offsets(text, offsets["start"], offsets["end"])
+        if not s.surface.strip():
+            raise CorpusError(f"span [{s.start}, {s.end}) holds only whitespace")
+        return s
 
     example = Example(_text(record["doc_id"]), text, span(record["anaphor"]),
                       None if antecedents is None else tuple(map(span, antecedents)))

@@ -88,16 +88,17 @@ def detect_examples(doc_id: str, text: str, rules: RuleSet) -> list[Example]:
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    """Read one pattern per line; blank lines and `#` comments are skipped."""
+    """Read one pattern per line; blank lines and `#` comments are skipped. A line
+    that is not UTF-8, like a pattern that does not compile, fails naming its line."""
     patterns = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            patterns.append(line)
-            try:
+    for n, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line and not line.startswith("#"):
+                patterns.append(line)
                 RuleSet(patterns=(line,))
-            except ValueError as exc:
-                raise CorpusError(f"rules {path} line {n}: {exc}") from exc
+        except ValueError as exc:
+            raise CorpusError(f"rules {path} line {n}: {exc}") from exc
     if not patterns:
         raise CorpusError(f"rules {path}: rule set must contain at least one pattern")
     return RuleSet(patterns=tuple(patterns))

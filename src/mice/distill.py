@@ -67,11 +67,9 @@ class PseudoLabeledRecord:
             if tag == TAG_INSIDE and previous == TAG_OUTSIDE:
                 raise ValueError(f"I without preceding B in {self.doc_id}")
             previous = tag
-        if len(self.confidences) != self.tags.count(TAG_BEGIN):
+        if len(self.confidences) != (runs := self.tags.count(TAG_BEGIN)):
             raise ValueError(
-                f"{len(self.confidences)} confidences for "
-                f"{self.tags.count(TAG_BEGIN)} runs in {self.doc_id}"
-            )
+                f"{len(self.confidences)} confidences for {runs} runs in {self.doc_id}")
 
 
 @dataclass
@@ -168,16 +166,10 @@ def build_record(
         raise CorpusError(f"anaphor in {example.key} covers no tokens")
     lo, hi = ana_range[0], ana_range[-1] + 1
 
-    out_tokens = (
-        list(doc_tokens[:lo])
-        + [MARKER_START]
-        + list(doc_tokens[lo:hi])
-        + [MARKER_END]
-        + list(doc_tokens[hi:])
-    )
-    out_tags = (
-        tags[:lo] + [TAG_OUTSIDE] + [TAG_OUTSIDE] * (hi - lo) + [TAG_OUTSIDE] + tags[hi:]
-    )
+    out_tokens = [*doc_tokens[:lo], MARKER_START, *doc_tokens[lo:hi], MARKER_END,
+                  *doc_tokens[hi:]]
+    # The markers and the anaphor's own tokens are outside every run.
+    out_tags = tags[:lo] + [TAG_OUTSIDE] * (hi - lo + 2) + tags[hi:]
     confidences = tuple(conf for _, conf in sorted(runs))
     return PseudoLabeledRecord(
         doc_id=example.doc_id,
@@ -218,7 +210,7 @@ def generate_pseudo_labels(
     if m < 1:
         raise ValueError(f"requested {m} records; the count must be at least 1")
     if m > len(pending):
-        raise ValueError(f"requested {m} records but only {len(pending)} anaphors detected")
+        raise CorpusError(f"requested {m} records but only {len(pending)} anaphors detected")
     records: list[PseudoLabeledRecord] = []
     try:
         # Closed at once, so its queued requests are cancelled before the checkpoint.

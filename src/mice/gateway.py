@@ -218,20 +218,19 @@ def nucleus_sample(
     return tokens[idx]
 
 
-def _truncate_generation(
-    text: str, params: DecodeParams, tokenizer: Tokenizer
-) -> str:
-    """Apply stop sequences then the max-token cap, preserving raw text."""
+def _truncate_generation(text: str, params: DecodeParams) -> tuple[str, tuple[str, ...]]:
+    """Apply stop sequences then the max-token cap, preserving raw text. Returns the kept
+    text and its tokens: a cut at a token's end leaves every earlier token whole."""
     cut = len(text)
     for stop in params.stop_sequences:
         pos = text.find(stop)
         if pos != -1:
             cut = min(cut, pos)
-    text = text[:cut]
-    spans = tokenizer.span_tokenize(text)
+    spans = WordTokenizer().span_tokenize(text[:cut])
     if len(spans) > params.max_tokens:
-        text = text[: spans[params.max_tokens - 1][1]]
-    return text
+        spans = spans[: params.max_tokens]
+        cut = spans[-1][1]
+    return text[:cut], tuple(text[a:b] for a, b in spans)
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,6 @@ class MockBackend:
         default_answer: str = "",
     ):
         self._entries = list(entries)
-        self._tokenizer = WordTokenizer()
         self._separator = separator
         self._default = default_answer
         self._lock = threading.Lock()
@@ -288,9 +286,7 @@ class MockBackend:
     def _build_generation(
         self, answer: str, entry: Optional[ScriptedEntry], params: DecodeParams
     ) -> Generation:
-        text = _truncate_generation(answer, params, self._tokenizer)
-        spans = self._tokenizer.span_tokenize(text)
-        tokens = tuple(text[a:b] for a, b in spans)
+        text, tokens = _truncate_generation(answer, params)
         # The first token of each answer slot carries the scripted
         # distribution; every other token is certain.
         dists: list[Mapping[str, float]] = [{tok: 1.0} for tok in tokens]

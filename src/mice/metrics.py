@@ -59,7 +59,7 @@ class ScoreReport:
 
 
 def _canonical_set(surfaces: Sequence[str]) -> set[str]:
-    return {canonicalize(s) for s in surfaces if canonicalize(s)}
+    return {canonicalize(s) for s in surfaces} - {""}
 
 
 def micro_f1(
@@ -73,12 +73,10 @@ def micro_f1(
     canonical gold set. With no predictions precision is 0; with no gold
     antecedents recall is 0; F1 is 0 whenever precision + recall is 0.
     """
-    if set(predictions) != set(gold):
-        missing = set(gold) - set(predictions)
-        extra = set(predictions) - set(gold)
+    missing, extra = gold.keys() - predictions.keys(), predictions.keys() - gold.keys()
+    if missing or extra:
         raise ValueError(
-            f"key sets differ: missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]}"
-        )
+            f"key sets differ: missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]}")
     tp = fp = fn = 0
     breakdown: list[ExampleScore] = []
     for key in sorted(gold):

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, islice, pairwise
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .combine import (
     CandidateAntecedent,
@@ -151,8 +152,13 @@ class Resolver:
         if self.tokenizer.tokenize(template.separator) != [template.separator]:
             raise ValueError(f"separator {template.separator!r} is not a single token")
         template.validate_against(sample)
+        # The product rule multiplies one-demonstration experts, one per sampled demo.
+        self._prompt_config = (
+            replace(config.prompt, demos_per_prompt=1, max_prompts=sample.k)
+            if config.combiner is Combiner.PRODUCT else config.prompt
+        )
         # kate and kate-plus pick d distinct demos; the rest enumerate tuples.
-        d = self._effective_prompt_config().demos_per_prompt
+        d = self._prompt_config.demos_per_prompt
         picks = config.combiner in (Combiner.KATE, Combiner.KATE_PLUS)
         if (d > sample.k) if picks else (universe_size(sample.k, d) == 0):
             raise ValueError(
@@ -165,7 +171,7 @@ class Resolver:
         )
         self._demo_norms = row_norms(self._demo_vectors)
 
-    def _similarities(self, test: Example) -> list[float]:
+    def _similarities(self, test: Example) -> np.ndarray:
         test_vector = self.embedder.embed(
             [self.config.template.render_example(test, include_answer=False)]
         )[0]
@@ -174,20 +180,12 @@ class Resolver:
                 f"embedding of {test.key} has shape {test_vector.shape}, "
                 f"the demonstrations' {self._demo_vectors.shape[1:]}"
             )
-        sims = [float(s) for s in similarities(test_vector, self._demo_vectors, self._demo_norms)]
-        for i, s in enumerate(sims):
-            if not math.isfinite(s):
-                raise BackendError(f"similarity of {test.key} to demonstration {i} is {s}")
+        sims = similarities(test_vector, self._demo_vectors, self._demo_norms)
+        bad = np.flatnonzero(~np.isfinite(sims))
+        if bad.size:
+            i = bad[0]
+            raise BackendError(f"similarity of {test.key} to demonstration {i} is {sims[i]}")
         return sims
-
-    def _effective_prompt_config(self) -> PromptSetConfig:
-        if self.config.combiner is Combiner.PRODUCT:
-            # The product rule multiplies one-demonstration experts, one
-            # per sampled demo.
-            return replace(
-                self.config.prompt, demos_per_prompt=1, max_prompts=self.sample.k
-            )
-        return self.config.prompt
 
     def resolve_one(self, test: Example) -> ResolutionResult:
         """Build the prompts and gate for one test input, query, and finish."""
@@ -259,8 +257,7 @@ class Resolver:
             ]
         else:
             prompts = enumerate_prompts(
-                self.sample, test, self._effective_prompt_config(), sims,
-                config.template, self.tokenizer,
+                self.sample, test, self._prompt_config, sims, config.template, self.tokenizer
             )
         if combiner is Combiner.KATE_PLUS:
             requests = kate_plus_requests(

@@ -76,6 +76,15 @@ def test_one_seeded_shuffle():
     }
 
 
+def test_one_canonical_form_per_surface():
+    # A surface is canonicalised where a generation's answer is extracted and
+    # where a surface is scored; eval's reader hands the scorer the raw ones.
+    assert uses_by_module({"canonicalize"}, calls_only=True) == {
+        "combine.py": {("extract_prediction", "canonicalize")},
+        "metrics.py": {("_canonical_set", "canonicalize")},
+    }
+
+
 def test_leaf_types_are_checked_where_records_are_decoded():
     # The codec's leaf decoders are the one type check of a value read from a
     # file. Elsewhere isinstance sorts exceptions and results, and three leaf

@@ -30,7 +30,7 @@ from mice.corpus import load_corpus, sample_kshot, to_json
 from mice.distill import load_records
 from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
 from mice.pipeline import Resolver, RunConfig, replay_manifest, write_manifest
-from mice.prompts import Template
+from mice.prompts import PromptSetConfig, Template
 
 from support import Reply
 
@@ -205,6 +205,26 @@ class TestResolve:
         assert run(resolve_args("--seeds", "1,2")) == 0
         assert alive_at_start == [[], [False]]
         assert json.loads(capsys.readouterr().out)["mean_f1"] == 1.0
+
+    def test_a_seed_sweep_reads_the_template_once(self, tmp_path, monkeypatch, capsys):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"separator": ";"}), encoding="utf-8")
+        reads = []
+        read_json = cli.read_json
+
+        def counted(path, what, *rest, **options):
+            reads.append(what)
+            return read_json(path, what, *rest, **options)
+
+        monkeypatch.setattr(cli, "read_json", counted)
+        assert run(resolve_args("--seeds", "1,2,3", "--template", str(template))) == 0
+        assert json.loads(capsys.readouterr().out)["mean_f1"] == 1.0
+        assert reads.count("template") == 1
+
+    def test_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["resolve", "--train", TRAIN, "--k", "4", "--corpus", CLI_TEST])
+        assert cli._run_config(args, 7, Template()) == RunConfig(prompt=PromptSetConfig(seed=7))
 
     def test_seed_and_seeds_conflict(self, capsys):
         assert run(resolve_args("--seed", "1", "--seeds", "1,2")) == 1
@@ -783,6 +803,71 @@ def test_rules_without_a_pattern_name_the_file(tmp_path, capsys):
         f"error: rules {rules}: rule set must contain at least one pattern\n")
 
 
+def test_a_rules_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(b"\xff\xfe")
+    assert run(["detect", "--docs", UNLABELED, "--rules", str(rules)]) == 1
+    assert capsys.readouterr() == ("", f"error: rules {rules} line 1: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("lines", [1, 401])
+def test_a_jsonl_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, lines):
+    first = Path(UNLABELED).read_bytes().splitlines()[0]
+    docs = tmp_path / "docs.jsonl"
+    docs.write_bytes(b"".join([first + b"\n"] * (lines - 1)) + b'{"doc_id": "\xff"}\n')
+    assert run(["detect", "--docs", str(docs)]) == 1
+    assert capsys.readouterr() == ("", f"error: unlabeled docs {docs} line {lines}: 'utf-8' "
+                                       "codec can't decode byte 0xff in position 12: invalid "
+                                       "start byte\n")
+
+
+def test_a_crlf_jsonl_file_reads_as_its_lf_twin(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_bytes(Path(UNLABELED).read_bytes().replace(b"\n", b"\r\n"))
+    assert run(["detect", "--docs", UNLABELED]) == 0
+    expected = capsys.readouterr()
+    assert run(["detect", "--docs", str(docs)]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_an_oracle_echo_key_with_a_blank_span_names_both_files(tmp_path, capsys):
+    key = tmp_path / "key.jsonl"
+    key.write_text(WRONG_SHAPES["corpus"]["blank-antecedent"] + "\n", encoding="utf-8")
+    fixture = tmp_path / "echo.json"
+    fixture.write_text(json.dumps({"mode": "oracle-echo", "answer_key": key.name}),
+                       encoding="utf-8")
+    argv = ["resolve", "--corpus", CLI_TEST, "--train", TRAIN, "--k", "4", "--seed", "1",
+            "--lm-mock", str(fixture)]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: mock fixture {fixture}: corpus {key} line 1: "
+                                       "span [3, 4) holds only whitespace\n")
+
+
+@pytest.mark.parametrize("command", ["sample", "resolve", "distill"])
+def test_a_train_corpus_smaller_than_k_is_named(tmp_path, capsys, command):
+    train = tmp_path / "train.jsonl"
+    train.write_text("", encoding="utf-8")
+    argv = {
+        "sample": ["sample", "--train", str(train), "--k", "1", "--seed", "1"],
+        "resolve": ["resolve", "--corpus", CLI_TEST, "--train", str(train), "--k", "1",
+                    "--seed", "1", "--lm-mock", ECHO],
+        "distill": TestDistill().distill_args(tmp_path, "--train", str(train), "--k", "1"),
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: k=1 exceeds dataset size 0 (--train {train})\n")
+
+
+def test_unlabeled_docs_with_too_few_anaphors_are_named(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"doc_id": "d", "text": "Add water."}\n', encoding="utf-8")
+    argv = TestDistill().distill_args(tmp_path)
+    argv[argv.index("--unlabeled") + 1] = str(docs)
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", "error: requested 3 records but only 0 anaphors "
+                                       f"detected (--unlabeled {docs})\n")
+
+
 def test_repeated_anaphor_key_names_file_and_line(tmp_path, capsys):
     first = Path(CLI_TEST).read_text(encoding="utf-8").splitlines()[0]
     corpus = tmp_path / "corpus.jsonl"
@@ -913,7 +998,11 @@ WRONG_SHAPES = {
     "corpus": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a"}',
                "text-array": f'{{"doc_id": "a", "text": {json.dumps(list(TEXT))}, {SPANS}}}',
                "antecedents-object": f'{{"doc_id": "a", "text": "{TEXT}", '
-                                     '"anaphor": {"start": 16, "end": 27}, "antecedents": {}}'},
+                                     '"anaphor": {"start": 16, "end": 27}, "antecedents": {}}',
+               # The antecedent [3, 4) is the space after "Add".
+               "blank-antecedent": f'{{"doc_id": "a", "text": "{TEXT}", '
+                                   '"anaphor": {"start": 16, "end": 27}, '
+                                   '"antecedents": [{"start": 3, "end": 4}]}'},
     "train": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a"}',
               "doc-id-number": f'{{"doc_id": 7, "text": "{TEXT}", {SPANS}}}'},
     "template": {"wrong-type": "5", "bad-field": '{"separator": 1}'},

@@ -220,6 +220,14 @@ class TestMockBackend:
         gen = backend.complete("q", DecodeParams.greedy(max_tokens=2))
         assert gen.text == "one two"
 
+    @pytest.mark.parametrize("max_tokens", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("answer", ["one two three", "a,b (c)  d\ne f", "  x_y | z9 ", ""])
+    def test_truncated_tokens_are_the_kept_texts_tokens(self, answer, max_tokens):
+        gen = MockBackend([], default_answer=answer).complete(
+            "q", DecodeParams.greedy(max_tokens=max_tokens))
+        assert list(gen.tokens) == WordTokenizer().tokenize(gen.text)
+        assert len(gen.tokens) <= max_tokens
+
     def test_request_count_is_thread_safe(self):
         backend = MockBackend([], default_answer="x")
         threads = [

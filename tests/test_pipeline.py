@@ -141,7 +141,7 @@ class TestResolveOne:
 
     def test_product_runs_one_demo_per_prompt(self):
         resolver = Resolver(RunConfig(combiner=Combiner.PRODUCT), SAMPLE, echo_backend())
-        effective = resolver._effective_prompt_config()
+        effective = resolver._prompt_config
         assert effective.demos_per_prompt == 1
         assert effective.max_prompts == SAMPLE.k
         result = resolver.resolve_one(TEST3[0])
