@@ -62,55 +62,64 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value; numpy seeds its generators from non-negative integers alone."""
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+
+
 def _resolver_flags() -> argparse.ArgumentParser:
     """The flags that build a ``Resolver``, shared by resolve and distill."""
+    run = RunConfig()  # every default below is the config dataclasses' own
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--train", required=True, help="training corpus JSONL")
     parent.add_argument("--k", type=int, required=True, help="k-shot sample size")
     parent.add_argument("--combiner", choices=[c.value for c in Combiner],
-                        default=Combiner.MICE_S.value)
-    parent.add_argument("--gate-combine", choices=["sum", "product"], default="sum",
+                        default=run.combiner.value)
+    parent.add_argument("--gate-combine", choices=["sum", "product"], default=run.gate_combine,
                         help="similarity aggregation inside the gate")
 
     group = parent.add_argument_group("prompt construction")
-    group.add_argument("--demos-per-prompt", type=int, default=2,
-                       help="demonstrations per prompt (default 2)")
-    group.add_argument("--max-prompts", type=int, default=256,
-                       help="cap on prompts per test input (default 256)")
+    group.add_argument("--demos-per-prompt", type=int, default=run.prompt.demos_per_prompt,
+                       help="demonstrations per prompt (default %(default)s)")
+    group.add_argument("--max-prompts", type=int, default=run.prompt.max_prompts,
+                       help="cap on prompts per test input (default %(default)s)")
     group.add_argument("--ordering", choices=[o.value for o in Ordering],
-                       default=Ordering.ASCEND.value,
-                       help="demonstration order inside a prompt (default ascend)")
+                       default=run.prompt.ordering.value,
+                       help="demonstration order inside a prompt (default %(default)s)")
     group.add_argument("--selection", choices=[s.value for s in Selection],
-                       default=Selection.TOP_GATED.value,
+                       default=run.prompt.selection.value,
                        help="how prompts are chosen from the tuple universe")
-    group.add_argument("--max-seq-len", type=int, default=2048,
-                       help="model context length in tokens (default 2048)")
-    group.add_argument("--gen-reserve", type=int, default=256,
-                       help="tokens reserved for generation (default 256)")
+    group.add_argument("--max-seq-len", type=int, default=run.prompt.max_sequence_length,
+                       help="model context length in tokens (default %(default)s)")
+    group.add_argument("--gen-reserve", type=int, default=run.prompt.generation_reserve,
+                       help="tokens reserved for generation (default %(default)s)")
     group.add_argument("--template", metavar="JSON",
                        help="JSON file overriding template fields")
 
     group = parent.add_argument_group("postfilter")
-    group.add_argument("--max-ante-tokens", type=int, default=250,
-                       help="max antecedent length in tokens (default 250)")
-    group.add_argument("--per-prompt-min", type=float, default=0.02,
-                       help="min per-prompt probability (default 0.02)")
-    group.add_argument("--combined-min", type=float, default=0.1,
-                       help="min combined probability (default 0.1)")
+    group.add_argument("--max-ante-tokens", type=int, default=run.filters.max_antecedent_tokens,
+                       help="max antecedent length in tokens (default %(default)s)")
+    group.add_argument("--per-prompt-min", type=float, default=run.filters.per_prompt_threshold,
+                       help="min per-prompt probability (default %(default)s)")
+    group.add_argument("--combined-min", type=float, default=run.filters.combined_threshold,
+                       help="min combined probability (default %(default)s)")
     group.add_argument("--no-merge", action="store_true",
                        help="disable substring merging")
 
     group = parent.add_argument_group("decoding")
-    group.add_argument("--decode", choices=["greedy", "nucleus"], default="greedy",
-                       help="decoding mode (default greedy)")
-    group.add_argument("--top-k", type=int, default=50,
-                       help="nucleus top-k (default 50)")
-    group.add_argument("--top-p", type=float, default=0.95,
-                       help="nucleus top-p (default 0.95)")
-    group.add_argument("--max-gen-tokens", type=int, default=256,
-                       help="max generated tokens (default 256)")
-    group.add_argument("--kp-samples", type=int, default=256,
-                       help="samples drawn by kate-plus (default 256)")
+    group.add_argument("--decode", choices=[m.value for m in DecodeMode],
+                       default=run.decode.mode.value, help="decoding mode (default %(default)s)")
+    group.add_argument("--top-k", type=int, default=run.decode.top_k,
+                       help="nucleus top-k (default %(default)s)")
+    group.add_argument("--top-p", type=float, default=run.decode.top_p,
+                       help="nucleus top-p (default %(default)s)")
+    group.add_argument("--max-gen-tokens", type=int, default=run.decode.max_tokens,
+                       help="max generated tokens (default %(default)s)")
+    group.add_argument("--kp-samples", type=int, default=run.kate_plus_samples,
+                       help="samples drawn by kate-plus (default %(default)s)")
 
     group = parent.add_argument_group("backend")
     group.add_argument("--lm-mock", metavar="FIXTURE",
@@ -119,10 +128,10 @@ def _resolver_flags() -> argparse.ArgumentParser:
                        help=f"completion endpoint (or ${ENV_LM_ENDPOINT})")
     group.add_argument("--embed-endpoint",
                        help=f"embedding endpoint (or ${ENV_EMBED_ENDPOINT})")
-    group.add_argument("--embed-dim", type=int, default=1024,
-                       help="hashing embedder dimension (default 1024)")
-    group.add_argument("--parallelism", type=int, default=8,
-                       help="max in-flight completions (default 8)")
+    group.add_argument("--embed-dim", type=int, default=run.embed_dim,
+                       help="hashing embedder dimension (default %(default)s)")
+    group.add_argument("--parallelism", type=int, default=run.parallelism,
+                       help="max in-flight completions (default %(default)s)")
     return parent
 
 
@@ -142,12 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw a seeded k-shot sample")
     p_sample.add_argument("--train", required=True, help="training corpus JSONL")
     p_sample.add_argument("--k", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, required=True)
+    p_sample.add_argument("--seed", type=_seed, required=True)
     p_sample.add_argument("--out", help="write the sample as JSONL")
 
     p_resolve = sub.add_parser("resolve", help="resolve a test split", parents=[resolver_flags])
     p_resolve.add_argument("--corpus", required=True, help="test corpus JSONL")
-    p_resolve.add_argument("--seed", type=int, help="single run seed")
+    p_resolve.add_argument("--seed", type=_seed, help="single run seed")
     p_resolve.add_argument("--seeds", help="comma-separated seeds; reports mean/std")
     p_resolve.add_argument("--report", help="write the score report JSON here")
     p_resolve.add_argument("--predictions", help="write predictions JSON here")
@@ -171,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distill.add_argument("--checkpoint",
                            help="write completed records here if an anaphor fails on "
                                 "a backend error or on the prompt budget")
-    p_distill.add_argument("--seed", type=int, default=0)
+    p_distill.add_argument("--seed", type=_seed, default=0)
 
     p_replay = sub.add_parser("replay", help="recompute a run from its manifest")
     p_replay.add_argument("--manifest", required=True)
@@ -255,9 +264,9 @@ def _seed_list(args: argparse.Namespace) -> list[int]:
         raise UsageError("--seed and --seeds are mutually exclusive")
     if args.seeds is not None:
         try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad --seeds value: {args.seeds!r}") from exc
+            seeds = [_seed(s) for s in args.seeds.split(",") if s.strip()]
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"bad --seeds value {args.seeds!r}: {exc}") from exc
         if not seeds or len(set(seeds)) != len(seeds):
             raise UsageError(f"--seeds must name one or more distinct seeds: {args.seeds!r}")
         return seeds

@@ -25,6 +25,10 @@ from typing import (
 
 import numpy as np
 
+# What decoding a malformed JSON value raises; every decoder turns these into its own error.
+DECODE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError,
+                 RecursionError)
+
 
 class CorpusError(ValueError):
     """An input file mice reads, or a record in it, violates its data contract."""
@@ -50,8 +54,7 @@ def read_json(path: str | Path, what: str, decode: Callable[[Any], Any],
                 if (text := line.decode("utf-8")).strip():
                     values.append(decode(json.loads(text)))
             return values
-    except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError,
-            RecursionError) as exc:
+    except (OSError, *DECODE_ERRORS) as exc:
         where = f" line {line_no}" if line_no else ""
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise CorpusError(f"{what} {path}{where}: {detail}") from exc

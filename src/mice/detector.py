@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import CorpusError, Dataset, Example, Span
+from .corpus import DECODE_ERRORS, CorpusError, Dataset, Example, Span
 from .metrics import ScoreReport
 
 
@@ -97,7 +97,7 @@ def load_rules(path: str | Path) -> RuleSet:
             if line and not line.startswith("#"):
                 patterns.append(line)
                 RuleSet(patterns=(line,))
-        except ValueError as exc:
+        except DECODE_ERRORS as exc:
             raise CorpusError(f"rules {path} line {n}: {exc}") from exc
     if not patterns:
         raise CorpusError(f"rules {path}: rule set must contain at least one pattern")

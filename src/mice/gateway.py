@@ -36,7 +36,7 @@ from typing import BinaryIO, Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import from_json
+from .corpus import DECODE_ERRORS, from_json
 
 logger = logging.getLogger(__name__)
 
@@ -432,7 +432,7 @@ def parse_response(payload: dict) -> Generation:
                 {tok: math.exp(v) for tok, v in (entry or {}).items()} for entry in raw
             )
         return Generation(text=text, tokens=tokens, top_probs=top_probs)
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+    except DECODE_ERRORS as exc:
         raise BackendError(f"malformed completion response: {exc}") from exc
 
 
@@ -601,7 +601,7 @@ class _JSONTransport:
                 if 200 <= status < 300:
                     try:
                         return decode(json.loads(data))
-                    except (BackendError, KeyError, TypeError, ValueError, RecursionError) as exc:
+                    except (BackendError, *DECODE_ERRORS) as exc:
                         raise BackendError(
                             f"{self._label} returned HTTP {status} with unusable body: {exc}",
                             attempts=attempt, status=status,

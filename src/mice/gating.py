@@ -112,10 +112,7 @@ class GatingDistribution:
 
     @classmethod
     def uniform(cls, prompt_ids: Sequence[int]) -> "GatingDistribution":
-        if not prompt_ids:
-            raise ValueError("gating distribution must cover at least one prompt")
-        w = 1.0 / len(prompt_ids)
-        return cls(weights={pid: w for pid in prompt_ids})
+        return cls(weights={pid: 1.0 / len(prompt_ids) for pid in prompt_ids})
 
     @classmethod
     def single(cls, prompt_id: int) -> "GatingDistribution":

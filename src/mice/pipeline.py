@@ -58,6 +58,9 @@ _SCHEMA_V1 = "mice-manifest/1"
 
 # The streamed loop plans this many examples back to back, one group ahead.
 _PLAN_AHEAD = 8
+# Generation tokens come from the wire, so resolve and replay split each candidate's first
+# token and the separator with its tokenizer; replay, which has no other, counts with it too.
+_WIRE = WordTokenizer()
 
 
 class Combiner(str, Enum):
@@ -149,7 +152,7 @@ class Resolver:
         self.embedder = embedder or HashingEmbedder(config.embed_dim)
         template = config.template
         # Extraction aligns answer slots on separator tokens.
-        if self.tokenizer.tokenize(template.separator) != [template.separator]:
+        if _WIRE.tokenize(template.separator) != [template.separator]:
             raise ValueError(f"separator {template.separator!r} is not a single token")
         template.validate_against(sample)
         # The product rule multiplies one-demonstration experts, one per sampled demo.
@@ -311,18 +314,18 @@ def _finish(
     predictions = []
     for pid, gen in zip(prompt_ids, generations, strict=True):
         if id(gen) not in extracted:
-            extracted[id(gen)] = extract_prediction(gen, config.template, tokenizer, prompt_id=pid)
+            extracted[id(gen)] = extract_prediction(gen, config.template, _WIRE, prompt_id=pid)
         p = extracted[id(gen)]
         predictions.append(p if p.prompt_id == pid else replace(p, prompt_id=pid))
     combiner = config.combiner
     if combiner is Combiner.MICE:
-        candidates = combine_mice(predictions, gating, tokenizer)
+        candidates = combine_mice(predictions, gating, _WIRE)
     elif combiner in (Combiner.MICE_S, Combiner.KATE_PLUS):
-        candidates = combine_mice_sample(predictions, gating, tokenizer)
+        candidates = combine_mice_sample(predictions, gating, _WIRE)
     elif combiner is Combiner.KATE:
-        candidates = combine_single(predictions[0], tokenizer)
+        candidates = combine_single(predictions[0], _WIRE)
     else:
-        candidates = combine_product(predictions, tokenizer)
+        candidates = combine_product(predictions, _WIRE)
     final = filter_and_merge(candidates, config.filters, tokenizer)
     return ResolutionResult(
         key=key,
@@ -410,7 +413,6 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
     recomputed score report; the configuration is the last header's.
     """
     configs: list[RunConfig] = []
-    tokenizer = WordTokenizer()
 
     def replay(record: dict) -> Optional[ResolutionResult]:
         kind = record.get("record")
@@ -419,7 +421,7 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
         elif kind == "entry":
             if not configs:
                 raise ValueError("no header before this entry")
-            return _replay_entry(record, configs[-1], tokenizer)
+            return _replay_entry(record, configs[-1])
         return None
 
     results = [r for r in read_json(path, "manifest", replay, lines=True) if r is not None]
@@ -438,7 +440,7 @@ def _decode_header(header: dict) -> RunConfig:
     return from_json(RunConfig, config_json)
 
 
-def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> ResolutionResult:
+def _replay_entry(entry: dict, config: RunConfig) -> ResolutionResult:
     """An entry finished again from its stored generations; the positions that
     stored equal generations share one, so ``_finish`` extracts it once."""
     key, stored = from_json(str, entry["key"]), entry.get("generations") or ()
@@ -459,5 +461,5 @@ def _replay_entry(entry: dict, config: RunConfig, tokenizer: Tokenizer) -> Resol
         raise ValueError(f"gating has no weight for prompt id {unweighted[0]}")
     return _finish(
         key, gold, prompt_ids, GatingDistribution(weights) if weights else None,
-        [decoded[distinct.index(generation)] for generation in stored], config, tokenizer,
+        [decoded[distinct.index(generation)] for generation in stored], config, _WIRE,
     )

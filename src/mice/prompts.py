@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Example, KShotSample, seeded_prefix
+from .corpus import DECODE_ERRORS, Example, KShotSample, seeded_prefix
 from .gateway import Tokenizer
 
 # Top-gated selection ranks universes up to this size; seeded-random
@@ -67,11 +67,9 @@ class Template:
     def __post_init__(self) -> None:
         try:
             self.question_pattern.format(anaphor="the mixture")
-        except (AttributeError, IndexError, KeyError, ValueError) as exc:
-            raise ValueError(
-                f"question_pattern {self.question_pattern!r} must format with "
-                f"{{anaphor}} alone: {exc!r}"
-            ) from exc
+        except DECODE_ERRORS as exc:
+            raise ValueError(f"question_pattern {self.question_pattern!r} must format with "
+                             f"{{anaphor}} alone: {exc!r}") from exc
 
     def question(self, example: Example) -> str:
         return self.question_pattern.format(anaphor=example.anaphor.surface)

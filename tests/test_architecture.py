@@ -204,3 +204,37 @@ def test_one_resolver_front_end():
     assert name_uses(PACKAGE / "cli.py", {"Resolver"}, calls_only=True) == {
         ("_resolvers", "Resolver"),
     }
+
+
+def caught(names):
+    """(module, enclosing function, name) for each of ``names`` an ``except`` clause names."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found.update((module, scope, name.id) for name in ast.walk(node.type)
+                         if isinstance(name, ast.Name) and name.id in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    return found
+
+
+def test_one_definition_of_a_malformed_value():
+    # Every decoder catches corpus.DECODE_ERRORS, so no two can disagree on
+    # what a malformed value raises. _checkout's IndexError is the pop of an
+    # empty connection pool, not a decode.
+    malformed = {"KeyError", "TypeError", "IndexError", "AttributeError", "OverflowError",
+                 "RecursionError"}
+    assert caught({"DECODE_ERRORS", *malformed}) == {
+        ("corpus.py", "read_json", "DECODE_ERRORS"),
+        ("detector.py", "load_rules", "DECODE_ERRORS"),
+        ("gateway.py", "parse_response", "DECODE_ERRORS"),
+        ("gateway.py", "post", "DECODE_ERRORS"),
+        ("prompts.py", "__post_init__", "DECODE_ERRORS"),
+        ("gateway.py", "_checkout", "IndexError"),
+    }

@@ -308,6 +308,20 @@ class TestResolve:
             "malformed completion response: generation text and tokens must be strings, not 5")
         assert json.loads(out)["f1"] == 0.0
 
+    def test_an_overflowing_logprob_from_the_whole_endpoint_is_exit_two(self, serve, capsys):
+        # exp(1000) does not fit a float.
+        lm = serve(lambda call: Reply(200, {"choices": [{"text": "water", "logprobs": {
+            "tokens": ["water"], "top_logprobs": [{"water": 1000}]}}]}))
+        args = resolve_args("--seed", "1", "--lm-endpoint", lm.url)
+        args.remove("--lm-mock")
+        args.remove(ECHO)
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("backend error: all 3 examples failed with seed 1"), err
+        assert err.rstrip().endswith("unusable body: malformed completion response: "
+                                     "math range error")
+        assert json.loads(out)["f1"] == 0.0
+
     @pytest.mark.parametrize(
         "flag, field",
         [("--per-prompt-min", "per_prompt_threshold"), ("--combined-min", "combined_threshold")],
@@ -795,6 +809,20 @@ def test_invalid_rule_pattern_is_exit_one(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("pattern, error", [
+    ("a{4294967296}", "the repetition number is too large"),
+    ("(" * 3000 + "a" + ")" * 3000, "maximum recursion depth exceeded"),
+], ids=["repeat-overflows", "nested-too-deep"])
+def test_a_rule_re_cannot_compile_names_its_line(tmp_path, capsys, pattern, error):
+    # re raises OverflowError and RecursionError for these, not re.error.
+    rules = tmp_path / "rules.txt"
+    rules.write_text(f"the mixture\n{pattern}\n", encoding="utf-8")
+    assert run(["detect", "--docs", UNLABELED, "--rules", str(rules)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: rules {rules} line 2: {error}"), err
+    assert len(err.splitlines()) == 1
+
+
 def test_rules_without_a_pattern_name_the_file(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("# only a comment\n\n", encoding="utf-8")
@@ -842,6 +870,24 @@ def test_an_oracle_echo_key_with_a_blank_span_names_both_files(tmp_path, capsys)
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: mock fixture {fixture}: corpus {key} line 1: "
                                        "span [3, 4) holds only whitespace\n")
+
+
+@pytest.mark.parametrize("command, flag, error", [
+    ("sample", "--seed", "argument --seed: expected a non-negative integer, not '-1'"),
+    ("resolve", "--seed", "argument --seed: expected a non-negative integer, not '-1'"),
+    ("resolve", "--seeds",
+     "bad --seeds value '2,-1': expected a non-negative integer, not '-1'"),
+    ("distill", "--seed", "argument --seed: expected a non-negative integer, not '-1'"),
+], ids=["sample", "resolve", "resolve-seeds", "distill"])
+def test_a_negative_seed_names_its_flag(tmp_path, capsys, command, flag, error):
+    # numpy refuses a negative seed too, but only after the corpus is read.
+    argv = {
+        "sample": ["sample", "--train", TRAIN, "--k", "4"],
+        "resolve": resolve_args(),
+        "distill": TestDistill().distill_args(tmp_path),  # the last --seed given is the one
+    }[command] + [flag, "2,-1" if flag == "--seeds" else "-1"]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("command", ["sample", "resolve", "distill"])

@@ -161,9 +161,10 @@ class TestRemoteEmbedder:
             ([Reply(200, {"embeddings": []})], 1),
             ([Reply(200, {"vectors": [[1.0, 0.0]]})], 1),
             ([Reply(200, {"vectors": [0.5, 0.5]})], 1),
+            ([Reply(200, {"vectors": [[int("9" * 400), 1], [0.0, 1.0]]})], 1),
         ],
         ids=["unreachable", "timeout", "http-503", "not-json", "no-vectors", "wrong-count",
-             "not-a-matrix"],
+             "not-a-matrix", "too-large-for-a-float"],
     )
     def test_endpoint_failures_are_backend_errors(self, serve, outcomes, attempts):
         embedder, server = remote_embedder(serve, outcomes)

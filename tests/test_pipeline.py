@@ -285,8 +285,11 @@ class TestResolveSplit:
              "generation text and tokens must be strings, not 1"),
             ({"text": "water", "logprobs": {"tokens": "ab"}},
              "expected a JSON array, not 'ab'"),
+            ({"text": "water", "logprobs": {"tokens": ["water"], "top_logprobs": [{"x": 1000}]}},
+             "math range error"),
         ],
-        ids=["text-not-a-string", "token-not-a-string", "tokens-not-an-array"],
+        ids=["text-not-a-string", "token-not-a-string", "tokens-not-an-array",
+             "logprob-overflows"],
     )
     def test_non_string_completion_fails_only_its_example(self, serve, choice, detail):
         poison_text = TEST3[1].text
@@ -334,6 +337,23 @@ class TestResolveSplit:
         errors = {r.key: r.error for r in split_result.results}
         assert "Remote end closed connection" in errors.pop(TEST3[2].key)
         assert set(errors.values()) == {None}
+
+    def test_an_embedding_too_large_for_a_float_fails_only_its_example(self, serve):
+        poison_text = TEST3[2].text
+
+        def respond(call):
+            texts = call["json"]["texts"]
+            big = int("9" * 400) if any(poison_text in t for t in texts) else 1.0
+            return Reply(200, {"vectors": [[big, len(t) % 7] for t in texts]})
+
+        embedder = serve(respond).client(RemoteEmbedder, sleep=lambda s: None)
+        resolver = Resolver(RunConfig(), SAMPLE, echo_backend(), embedder=embedder)
+        split_result = resolver.resolve_split(TEST3)
+        errors = {r.key: r.error for r in split_result.results}
+        assert errors.pop(TEST3[2].key) == ("embedding request returned HTTP 200 with unusable "
+                                            "body: int too large to convert to float")
+        assert set(errors.values()) == {None}
+        assert split_result.backend_failures == 1
 
     def test_non_finite_embedding_fails_only_its_example(self, serve):
         # JSON replies may carry NaN, which json.loads accepts.
@@ -751,6 +771,23 @@ class TestManifest:
             assert again.key == original.key
             assert again.candidates == original.candidates
             assert again.final == original.final
+
+    @pytest.mark.parametrize("combiner", [Combiner.MICE, Combiner.MICE_S], ids=lambda c: c.value)
+    def test_a_resolver_tokenizer_does_not_pick_first_tokens(self, tmp_path, combiner):
+        # Replay has no tokenizer of the run's; first tokens come from the wire's on both paths.
+        class Shouting(WordTokenizer):
+            def tokenize(self, text):
+                return [token.upper() for token in super().tokenize(text)]
+
+        config = RunConfig(combiner=combiner)
+        resolver = Resolver(config, SAMPLE, echo_backend(), tokenizer=Shouting())
+        split_result = resolver.resolve_split(TEST3)
+        path = tmp_path / "run.jsonl"
+        write_manifest(split_result, config, SAMPLE, path)
+        replayed, _ = replay_manifest(path)
+        assert replayed.report == split_result.report
+        assert [r.final for r in replayed.results] == [r.final for r in split_result.results]
+        assert split_result.results[0].final[0].first_token.islower()
 
     def test_replay_extracts_each_stored_generation_once(self, tmp_path, monkeypatch):
         # Each example's 16 prompts hold 10 texts, answered by two generations,

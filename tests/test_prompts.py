@@ -94,6 +94,11 @@ class TestTemplate:
         ex = make_example("d", ["water"], anaphor="the residue")
         assert Template().question(ex) == "Question: What does the residue contain?"
 
+    @pytest.mark.parametrize("pattern", ["{anaphor[x]}", "{0}", "{thing}"])
+    def test_a_question_pattern_that_needs_more_than_the_anaphor_is_refused(self, pattern):
+        with pytest.raises(ValueError, match=r"must format with \{anaphor\} alone"):
+            Template(question_pattern=pattern)
+
     def test_parse_antecedents_dedups_and_strips(self):
         parsed = parse(Template(), "water |  DCM | water \nmore junk")
         assert parsed == ["water", "DCM"]
