@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -189,10 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _decode_template(payload: dict) -> Template:
-    unknown = set(payload) - {f.name for f in fields(Template)}
-    if unknown:
-        raise UsageError(f"unknown template fields: {sorted(unknown)}")
-    return Template(**{name: from_json(str, value) for name, value in payload.items()})
+    return from_json(Template, {**to_json(Template()), **payload})
 
 
 def _build_backend(args: argparse.Namespace, template: Template,
@@ -333,10 +329,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _kshot(args: argparse.Namespace, train: Dataset, seed: int) -> KShotSample:
-    """The seed's ``--k`` examples of ``--train``; a sample that cannot be drawn names the file."""
+    """The seed's ``--k`` examples of ``--train``; a file too small for them is named."""
     try:
         return sample_kshot(train, args.k, seed)
-    except ValueError as exc:
+    except CorpusError as exc:
         raise UsageError(f"{exc} (--train {args.train})") from exc
 
 
@@ -351,7 +347,12 @@ def _resolvers(args: argparse.Namespace, seeds: Sequence[int],
     backend = _build_backend(args, template, clients)
     embedder = _build_embedder(args, clients)
     for seed, config in zip(seeds, configs):
-        yield Resolver(config, _kshot(args, train, seed), backend, embedder=embedder)
+        sample = _kshot(args, train, seed)
+        try:
+            resolver = Resolver(config, sample, backend, embedder=embedder)
+        except CorpusError as exc:  # a sampled demonstration is unlabeled or holds the separator
+            raise UsageError(f"{exc} (--train {args.train})") from exc
+        yield resolver
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:

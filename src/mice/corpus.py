@@ -13,6 +13,7 @@ for unlabeled data.
 from __future__ import annotations
 
 import json
+import re
 import types
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass
@@ -76,11 +77,12 @@ def to_json(obj: Any, omit: Collection[str] = ()) -> Any:
 def from_json(tp: Any, value: Any) -> Any:
     """Inverse of ``to_json`` for a value annotated with type ``tp``.
 
-    Every init field of a dataclass must be present; mapping keys are
-    converted back to the annotated key type. A ``str``, ``int``, ``float``
-    or ``bool`` leaf must hold that JSON type (a ``bool`` is not an
-    ``int``; a ``float`` takes any number), and ``None`` fits only an
-    ``Optional``; anything else raises ``TypeError``.
+    Every init field of a dataclass must be present, and a key it does not
+    declare raises ``ValueError``; mapping keys are converted back to the
+    annotated key type. A ``str``, ``int``, ``float`` or ``bool`` leaf must
+    hold that JSON type (a ``bool`` is not an ``int``; a ``float`` takes any
+    number), and ``None`` fits only an ``Optional``; anything else raises
+    ``TypeError``.
     """
     return _codec(tp)[1](value)
 
@@ -144,6 +146,8 @@ def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         named = [(f.name, *_codec(hints[f.name])) for f in fields(tp) if f.init]
+        declared = {name for name, _, _ in named}
+        what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", tp.__name__.lstrip("_")).lower()
 
         def encode(obj: Any, memo: dict, omit: Collection[str] = ()) -> dict:
             done = memo.get(id(obj))
@@ -151,7 +155,12 @@ def _codec(tp: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
                 done = memo[id(obj)] = {name: enc(getattr(obj, name), memo)
                                         for name, enc, _ in named if name not in omit}
             return done
-        return encode, _only(dict, lambda v: tp(**{name: dec(v[name]) for name, _, dec in named}))
+
+        def decode(v: dict) -> Any:
+            if unknown := v.keys() - declared:
+                raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+            return tp(**{name: dec(v[name]) for name, _, dec in named})
+        return encode, _only(dict, decode)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return (lambda v, memo: v.value), tp
     if tp is Any:  # an item of an unparameterized container
@@ -339,8 +348,8 @@ def sample_kshot(dataset: Dataset, k: int, seed: int) -> KShotSample:
     """
     n = len(dataset)
     if k < 1:
-        raise CorpusError(f"k-shot sample needs at least one example, got k={k}")
+        raise ValueError(f"k-shot sample needs at least one example, got k={k}")
     if k > n:
-        raise ValueError(f"k={k} exceeds dataset size {n}")
+        raise CorpusError(f"k={k} exceeds dataset size {n}")
     chosen = tuple(dataset.examples[i] for i in seeded_prefix(n, k, [seed]))
     return KShotSample(seed=seed, examples=chosen)

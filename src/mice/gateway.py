@@ -29,14 +29,14 @@ import ssl
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import DECODE_ERRORS, from_json
+from .corpus import DECODE_ERRORS, from_json, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -255,6 +255,16 @@ class ScriptedEntry:
         return all(needle in prompt for needle in self.contains)
 
 
+@dataclass(frozen=True)
+class _MockFixture:
+    """The top level of a mock fixture file; ``MockBackend.from_fixture`` reads it."""
+
+    mode: str = "scripted"
+    entries: tuple[dict, ...] = ()
+    default_answer: str = ""
+    answer_key: Optional[str] = None
+
+
 class MockBackend:
     """Deterministic in-process backend driven by scripted rules.
 
@@ -342,7 +352,8 @@ class MockBackend:
         Oracle-echo form:
             {"mode": "oracle-echo", "answer_key": "relative/path.jsonl"}
         answers every prompt built from the keyed corpus with the gold
-        antecedents, for loopback tests.
+        antecedents, for loopback tests. A key that neither form declares,
+        at the top level or in an entry, is refused.
         """
         from .corpus import load_corpus, read_json
         from .prompts import Template
@@ -350,30 +361,24 @@ class MockBackend:
         template = template or Template()
         swap = (Template().separator, template.separator)
         path = Path(path)
+        entry_defaults = to_json(ScriptedEntry(""), omit=("answer",))
 
         def entry(e: dict) -> ScriptedEntry:
-            unknown = set(e) - {f.name for f in fields(ScriptedEntry)}
-            if unknown:
-                raise ValueError(f"unknown scripted entry fields: {sorted(unknown)}")
-            return ScriptedEntry(
-                answer=from_json(str, e["answer"]).replace(*swap),
-                suffix=from_json(Optional[str], e.get("suffix")),
-                contains=from_json(tuple[str, ...], e.get("contains", [])),
-                slot_distributions=from_json(tuple[Mapping[str, float], ...],
-                                             e.get("slot_distributions", [])),
-                slot_completions=from_json(Mapping[str, str], e.get("slot_completions", {})),
-            )
+            scripted = from_json(ScriptedEntry, {**entry_defaults, **e})
+            return replace(scripted, answer=scripted.answer.replace(*swap))
 
         def decode(payload: dict) -> "MockBackend":
-            mode = payload.get("mode", "scripted")
+            mode = payload.get("mode", _MockFixture.mode)
+            # An oracle-echo fixture must name its answer key.
+            omit = ("answer_key",) if mode == "oracle-echo" else ()
+            fixture = from_json(_MockFixture, {**to_json(_MockFixture(), omit=omit), **payload})
             if mode == "oracle-echo":
-                dataset = load_corpus(path.parent / payload["answer_key"])
-                return cls.oracle_echo(dataset, template)
+                return cls.oracle_echo(load_corpus(path.parent / fixture.answer_key), template)
             if mode != "scripted":
                 raise ValueError(f"unknown mock fixture mode: {mode}")
-            entries = [entry(e) for e in payload.get("entries", ())]
-            default = from_json(str, payload.get("default_answer", "")).replace(*swap)
-            return cls(entries, separator=template.separator, default_answer=default)
+            entries = [entry(e) for e in fixture.entries]
+            return cls(entries, separator=template.separator,
+                       default_answer=fixture.default_answer.replace(*swap))
 
         return read_json(path, "mock fixture", decode)
 

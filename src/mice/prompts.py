@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DECODE_ERRORS, Example, KShotSample, seeded_prefix
+from .corpus import DECODE_ERRORS, CorpusError, Example, KShotSample, seeded_prefix
 from .gateway import Tokenizer
 
 # Top-gated selection ranks universes up to this size; seeded-random
@@ -94,7 +94,7 @@ class Template:
         for ex in sample:
             for surface in ex.gold_surfaces():
                 if self.separator in surface:
-                    raise ValueError(
+                    raise CorpusError(
                         f"antecedent {surface!r} in {ex.key} contains the "
                         f"separator {self.separator!r}"
                     )

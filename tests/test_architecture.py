@@ -187,6 +187,15 @@ def test_only_the_codec_reads_type_hints():
     }
 
 
+def test_only_the_codec_reads_a_dataclasses_fields():
+    # The codec decodes every dataclass from one list of its init fields, so
+    # a record's field set, and the refusal of a key it does not declare,
+    # is written once.
+    assert uses_by_module({"fields"}, calls_only=True) == {
+        "corpus.py": {("_codec", "fields")},
+    }
+
+
 def test_no_python_level_thread_synchronization():
     # A semaphore, condition, event or barrier runs Python code (its
     # Condition's wait and notify) to acquire and release, on the pool's

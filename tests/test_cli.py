@@ -29,7 +29,7 @@ from mice.cli import run
 from mice.corpus import load_corpus, sample_kshot, to_json
 from mice.distill import load_records
 from mice.gateway import BackendError, HTTPBackend, MockBackend, RemoteEmbedder
-from mice.pipeline import Resolver, RunConfig, replay_manifest, write_manifest
+from mice.pipeline import MANIFEST_SCHEMA, Resolver, RunConfig, replay_manifest, write_manifest
 from mice.prompts import PromptSetConfig, Template
 
 from support import Reply
@@ -1053,12 +1053,17 @@ WRONG_SHAPES = {
               "doc-id-number": f'{{"doc_id": 7, "text": "{TEXT}", {SPANS}}}'},
     "template": {"wrong-type": "5", "bad-field": '{"separator": 1}'},
     "lm-mock": {"wrong-type": "[1]", "bad-field": '{"entries": [{"suffix": "x"}]}',
-                "unknown-entry-key": '{"entries": [{"sufix": "x", "answer": "water"}]}'},
+                "unknown-entry-key": '{"entries": [{"sufix": "x", "answer": "water"}]}',
+                "unknown-top-level-key": '{"entires": []}'},
     "docs": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a"}'},
     "unlabeled": {"wrong-type": "[1]", "bad-field": '{"doc_id": "a", "text": 5}',
                   "doc-id-number": f'{{"doc_id": 5, "text": "{TEXT}"}}'},
     "predictions": {"wrong-type": '["water"]', "bad-field": '{"doc:0:1": "water | brine"}'},
-    "manifest": {"wrong-type": "[1]", "bad-field": '{"record": "entry"}'},
+    "manifest": {"wrong-type": "[1]", "bad-field": '{"record": "entry"}',
+                 "unknown-config-key": json.dumps({
+                     "record": "header", "schema": MANIFEST_SCHEMA, "config": {
+                         **to_json(RunConfig()),
+                         "filters": {**to_json(RunConfig().filters), "combined_treshold": 0.9}}})},
 }
 MALFORMED = [(flag, case) for flag, shapes in WRONG_SHAPES.items()
              for case in ("not-json", *shapes, "directory")]
@@ -1086,6 +1091,52 @@ def test_malformed_input_file_is_exit_one(tmp_path, capsys, flag, case):
 def json_lines(path):
     return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()
             if line.strip()]
+
+
+def test_a_stored_generation_with_an_undeclared_key_is_exit_one(tmp_path, capsys):
+    header, entry, *rest = json_lines(library_manifest(tmp_path))
+    entry["generations"][0]["top_prob"] = entry["generations"][0]["top_probs"]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(line) + "\n" for line in [header, entry, *rest]),
+                        encoding="utf-8")
+    assert run(["replay", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: manifest {manifest} line 2: unknown generation fields: ['top_prob']\n")
+
+
+@pytest.mark.parametrize("command", ["sample", "resolve", "distill"])
+def test_k_below_one_is_not_blamed_on_train(tmp_path, capsys, command):
+    argv = {
+        "sample": ["sample", "--seed", "1"],
+        "resolve": ["resolve", "--corpus", CLI_TEST, "--seed", "1", "--lm-mock", ECHO],
+        "distill": ["distill", "--unlabeled", UNLABELED, "--count", "1", "--lm-mock", SCRIPTED,
+                    "--out", str(tmp_path / "records.jsonl")],
+    }[command]
+    assert run([*argv, "--train", TRAIN, "--k", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: k-shot sample needs at least one example, got k=0\n")
+
+
+@pytest.mark.parametrize("command", ["resolve", "distill"])
+@pytest.mark.parametrize("record, detail", [
+    # "antecedent" for "antecedents": the record loads as unlabeled.
+    ({"doc_id": "a", "text": TEXT, "anaphor": {"start": 16, "end": 27},
+      "antecedent": [{"start": 4, "end": 9}]}, "example a:16:27 is unlabeled"),
+    ({"doc_id": "a", "text": "Add oil|water. Then the mixture was stirred.",
+      "anaphor": {"start": 20, "end": 31}, "antecedents": [{"start": 4, "end": 13}]},
+     "antecedent 'oil|water' in a:20:31 contains the separator '|'"),
+], ids=["unlabeled", "separator"])
+def test_a_demonstration_that_cannot_serve_names_train(tmp_path, capsys, command, record,
+                                                       detail):
+    train = tmp_path / "train.jsonl"
+    train.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    argv = {
+        "resolve": ["resolve", "--corpus", CLI_TEST, "--seed", "1"],
+        "distill": ["distill", "--unlabeled", UNLABELED, "--count", "1",
+                    "--out", str(tmp_path / "records.jsonl")],
+    }[command]
+    assert run([*argv, "--train", str(train), "--k", "1", "--lm-mock", ECHO]) == 1
+    assert capsys.readouterr().err == f"error: {detail} (--train {train})\n"
 
 
 @functools.cache

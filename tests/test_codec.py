@@ -208,6 +208,25 @@ def test_a_container_decodes_only_from_its_json_kind(tp, value, detail):
 
 
 @pytest.mark.parametrize(
+    "value, name",
+    [
+        (RunConfig(), "run config"),
+        (PromptSetConfig(), "prompt set config"),
+        (Template(), "template"),
+        (DecodeParams.greedy(), "decode params"),
+        (FilterConfig(), "filter config"),
+        (Generation("water"), "generation"),
+        (Span(0, 5, "water"), "span"),
+    ],
+    ids=lambda value: None if isinstance(value, str) else type(value).__name__,
+)
+def test_a_dataclass_refuses_a_key_it_does_not_declare(value, name):
+    payload = {**to_json(value), "zeta": 1, "alpha": 2}
+    with pytest.raises(ValueError, match=re.escape(f"unknown {name} fields: ['alpha', 'zeta']")):
+        from_json(type(value), payload)
+
+
+@pytest.mark.parametrize(
     "tp, value, detail",
     [
         (str, 5, "expected a string, not 5"),

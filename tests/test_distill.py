@@ -256,6 +256,16 @@ class TestSerialization:
         export_records(records, path, "jsonl")
         assert load_records(path) == records
 
+    def test_undeclared_key_names_its_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join(json.dumps(record) for record in [
+            to_json(valid_record()), {**to_json(valid_record()), "score": 0.5}]) + "\n",
+            encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            load_records(path)
+        assert str(info.value) == (f"records {path} line 2: "
+                                   "unknown pseudo labeled record fields: ['score']")
+
     def test_conll_layout(self, tmp_path):
         records = [
             valid_record(

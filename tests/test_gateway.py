@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mice import gateway
-from mice.corpus import load_corpus
+from mice.corpus import CorpusError, load_corpus
 from mice.gateway import (
     BackendError,
     DecodeMode,
@@ -261,6 +261,20 @@ class TestMockBackend:
         prompt = template.render_prompt([corpus.examples[0]], ex)
         gen = backend.complete(prompt, DecodeParams.greedy())
         assert gen.text == template.linearize(ex.gold_surfaces())
+
+    @pytest.mark.parametrize("payload, detail", [
+        ({"entires": []}, "unknown mock fixture fields: ['entires']"),
+        ({"entries": [{"answer": "water", "sufix": "x"}]},
+         "unknown scripted entry fields: ['sufix']"),
+        ({"entries": [{"suffix": "x"}]}, "missing field 'answer'"),
+        ({"mode": "oracle-echo"}, "missing field 'answer_key'"),
+    ], ids=["top-level-key", "entry-key", "entry-answer", "answer-key"])
+    def test_fixture_fields_are_checked(self, tmp_path, payload, detail):
+        fixture = tmp_path / "mock.json"
+        fixture.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            MockBackend.from_fixture(fixture)
+        assert str(info.value) == f"mock fixture {fixture}: {detail}"
 
 
 class TestWireSchema:
