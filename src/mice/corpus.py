@@ -37,15 +37,16 @@ class CorpusError(ValueError):
 
 def read_json(path: str | Path, what: str, decode: Callable[[Any], Any],
               lines: bool = False) -> Any:
-    """``decode`` applied to the JSON document at ``path``.
+    """``decode`` applied to the JSON object at ``path``.
 
-    With ``lines``, the file is JSONL: each non-blank line is decoded in
-    turn and the list of values returned. Any failure to read, parse or
-    decode raises ``CorpusError("<what> <path>[ line <n>]: <detail>")``,
-    where a ``KeyError``'s detail reads ``missing field '<name>'``. Each JSONL
-    line is decoded from UTF-8 on its own, so a byte that is not UTF-8 names its line.
+    With ``lines``, the file is JSONL: each non-blank line holds an object,
+    decoded in turn, and the list of values is returned. Any failure to read,
+    parse or decode, a value that is not an object among them, raises
+    ``CorpusError("<what> <path>[ line <n>]: <detail>")``, where a ``KeyError``'s
+    detail reads ``missing field '<name>'``. Each JSONL line is decoded from
+    UTF-8 on its own, so a byte that is not UTF-8 names its line.
     """
-    line_no = 0
+    line_no, decode = 0, _only(dict, decode)
     try:
         with open(path, "rb") as fh:
             if not lines:

@@ -358,6 +358,35 @@ def _assemble_split_result(results: Sequence[ResolutionResult]) -> SplitResult:
     )
 
 
+@dataclass(frozen=True)
+class _Header:
+    """A manifest's header line: the run's split, k-shot sample and configuration."""
+
+    record: str
+    schema: str
+    split: str
+    k: int
+    sample_seed: int
+    config: RunConfig
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """A manifest line per test input: its ``ResolutionResult``, the gating as its weights.
+    Generations, candidates and finals stay JSON; replay decodes what it reads itself."""
+
+    record: str
+    key: str
+    gold: Optional[tuple[str, ...]]
+    prompt_ids: tuple[int, ...]
+    gating: Optional[Mapping[int, float]]
+    generations: tuple
+    candidates: tuple
+    final: tuple
+    request_count: int
+    error: Optional[str]
+
+
 # A manifest payload is built fresh by ``to_json``, so it holds no cycle to check for.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
                           check_circular=False).encode
@@ -375,27 +404,12 @@ def write_manifest(
     Output bytes depend only on the inputs, so identical runs produce
     identical files; timing is deliberately not serialized.
     """
-    lines = [
-        _dumps(
-            {
-                "record": "header",
-                "schema": MANIFEST_SCHEMA,
-                "split": split_name,
-                "k": sample.k,
-                "sample_seed": sample.seed,
-                "config": to_json(config),
-            }
-        )
-    ]
+    header = _Header("header", MANIFEST_SCHEMA, split_name, sample.k, sample.seed, config)
+    lines = [_dumps(to_json(header))]
     for r in split_result.results:
-        gating = to_json(r.gating.weights) if r.gating is not None else None
-        lines.append(
-            _dumps({"record": "entry", **to_json(r, omit=("gating",)), "gating": gating})
-        )
-    summary: dict = {
-        "record": "summary",
-        "request_count": split_result.request_count,
-    }
+        entry = _Entry(record="entry", **{**vars(r), "gating": r.gating and r.gating.weights})
+        lines.append(_dumps(to_json(entry)))
+    summary: dict = {"record": "summary", "request_count": split_result.request_count}
     if split_result.report is not None:
         summary["report"] = to_json(split_result.report, omit=("per_example",))
     lines.append(_dumps(summary))
@@ -405,23 +419,27 @@ def write_manifest(
 def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
     """Recompute every final prediction from a manifest, no backend calls.
 
-    The file is read in one pass, line by line: each entry's generations
-    and gating weights are read back and its extraction, combination, and
-    filtering run again at once, under the configuration of the nearest
-    header above it, so a malformed entry fails naming its line. The
-    returned result carries freshly computed candidates and finals plus a
-    recomputed score report; the configuration is the last header's.
+    The file is read in one pass, line by line. Header and entry lines
+    decode as ``_Header`` and ``_Entry``, each field required; the summary
+    is not read, and a line of any other ``record`` kind is refused. Each
+    entry's extraction, combination, and filtering run again at once, under
+    the configuration of the nearest header above it, so a malformed line
+    fails naming its line. The returned result carries freshly computed
+    candidates and finals plus a recomputed score report; the configuration
+    is the last header's.
     """
     configs: list[RunConfig] = []
 
-    def replay(record: dict) -> Optional[ResolutionResult]:
-        kind = record.get("record")
+    def replay(line: dict) -> Optional[ResolutionResult]:
+        kind = line["record"]
         if kind == "header":
-            configs.append(_decode_header(record))
+            configs.append(_decode_header(line))
         elif kind == "entry":
             if not configs:
                 raise ValueError("no header before this entry")
-            return _replay_entry(record, configs[-1])
+            return _replay_entry(line, configs[-1])
+        elif kind != "summary":
+            raise ValueError(f"unknown record kind {kind!r:.80}")
         return None
 
     results = [r for r in read_json(path, "manifest", replay, lines=True) if r is not None]
@@ -430,36 +448,36 @@ def replay_manifest(path: str | Path) -> tuple[SplitResult, RunConfig]:
     return _assemble_split_result(results), configs[-1]
 
 
-def _decode_header(header: dict) -> RunConfig:
-    schema = header.get("schema")
+def _decode_header(line: dict) -> RunConfig:
+    schema = line["schema"]
     if schema not in (MANIFEST_SCHEMA, _SCHEMA_V1):
         raise ValueError(f"unsupported manifest schema: {schema!r}")
-    config_json = header["config"]
     if schema == _SCHEMA_V1:  # predates config.template; such runs used the default
-        config_json = {**config_json, "template": to_json(RunConfig.template)}
-    return from_json(RunConfig, config_json)
+        line = {**line, "config": {**line["config"], "template": to_json(RunConfig.template)}}
+    return from_json(_Header, line).config
 
 
-def _replay_entry(entry: dict, config: RunConfig) -> ResolutionResult:
+def _replay_entry(line: dict, config: RunConfig) -> ResolutionResult:
     """An entry finished again from its stored generations; the positions that
     stored equal generations share one, so ``_finish`` extracts it once."""
-    key, stored = from_json(str, entry["key"]), entry.get("generations") or ()
-    gold = from_json(Optional[tuple[str, ...]], entry.get("gold"))
-    error = from_json(Optional[str], entry.get("error"))
+    entry = from_json(_Entry, line)
+    stored, prompt_ids, weights = entry.generations, entry.prompt_ids, entry.gating
     distinct: list = []
     for generation in stored:
         if generation not in distinct:
             distinct.append(generation)
     decoded = from_json(tuple[Generation, ...], distinct)
-    weights = from_json(Optional[Mapping[int, float]], entry.get("gating"))
-    if error or not stored:
-        return _failed(key, gold, error)
-    prompt_ids = from_json(tuple[int, ...], entry.get("prompt_ids", []))
+    if entry.error or not stored:
+        return _failed(entry.key, entry.gold, entry.error)
     if len(prompt_ids) != len(stored):
         raise ValueError(f"{len(prompt_ids)} prompt ids for {len(stored)} generations")
+    if (weights is None) != (config.combiner is Combiner.PRODUCT):
+        raise ValueError(f"gating {'null' if weights is None else 'weights'} "
+                         f"under combiner {config.combiner.value}")
+    gating = None if weights is None else GatingDistribution(weights)
     if weights and (unweighted := [pid for pid in prompt_ids if pid not in weights]):
         raise ValueError(f"gating has no weight for prompt id {unweighted[0]}")
     return _finish(
-        key, gold, prompt_ids, GatingDistribution(weights) if weights else None,
+        entry.key, entry.gold, prompt_ids, gating,
         [decoded[distinct.index(generation)] for generation in stored], config, _WIRE,
     )

@@ -196,6 +196,16 @@ def test_only_the_codec_reads_a_dataclasses_fields():
     }
 
 
+def test_a_manifest_line_is_read_through_its_record():
+    # Header and entry lines decode as one declared record each, so no field
+    # of a manifest line is read with a silent default.
+    pipeline = PACKAGE / "pipeline.py"
+    assert name_uses(pipeline, {"get"}, calls_only=True) == set()
+    assert name_uses(pipeline, {"from_json"}, calls_only=True) == {
+        ("_decode_header", "from_json"), ("_replay_entry", "from_json"),
+    }
+
+
 def test_no_python_level_thread_synchronization():
     # A semaphore, condition, event or barrier runs Python code (its
     # Condition's wait and notify) to acquire and release, on the pool's

@@ -686,6 +686,66 @@ class TestReplay:
         assert capsys.readouterr() == ("", f"error: manifest {manifest} line 2: "
                                            "expected a string, not 5\n")
 
+    @staticmethod
+    def replay_rewritten(manifest, lines, capsys):
+        """The exit code and output of ``mice replay`` once ``manifest`` holds ``lines``."""
+        manifest.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        capsys.readouterr()
+        return run(["replay", "--manifest", str(manifest)]), capsys.readouterr()
+
+    # The top-level keys of a manifest's header line and of its entry lines.
+    HEADER_KEYS = ["record", "schema", "split", "k", "sample_seed", "config"]
+    ENTRY_KEYS = ["record", "key", "gold", "prompt_ids", "gating", "generations",
+                  "candidates", "final", "request_count", "error"]
+    # A line's record kind and a header's schema are read before the line decodes.
+    READ_FIRST = {"record", "schema"}
+    KEY_EDITS = [(line, key, how) for line, keys in ((1, HEADER_KEYS), (2, ENTRY_KEYS))
+                 for key in keys for how in ("drop", "rename")]
+
+    @pytest.mark.parametrize("line, key, how", KEY_EDITS,
+                             ids=[f"{['header', 'entry'][line - 1]}-{how}-{key}"
+                                  for line, key, how in KEY_EDITS])
+    def test_a_dropped_or_renamed_key_names_its_line(self, tmp_path, capsys, line, key, how):
+        manifest = self.make_manifest(tmp_path)
+        lines = json_lines(manifest)
+        assert [sorted(lines[0]), sorted(lines[1])] == [sorted(self.HEADER_KEYS),
+                                                        sorted(self.ENTRY_KEYS)]
+        value = lines[line - 1].pop(key)
+        if how == "rename":
+            lines[line - 1][key + "_"] = value
+        what = "header" if line == 1 else "entry"
+        detail = (f"unknown {what} fields: ['{key}_']" if how == "rename" and
+                  key not in self.READ_FIRST else f"missing field '{key}'")
+        assert self.replay_rewritten(manifest, lines, capsys) == (
+            1, ("", f"error: manifest {manifest} line {line}: {detail}\n"))
+
+    @pytest.mark.parametrize("line, key, value, detail", [
+        (2, "record", "entyr", "unknown record kind 'entyr'"),
+        (1, "k", "x", "expected an integer, not 'x'"),
+    ], ids=["entry-record-entyr", "header-k-string"])
+    def test_a_misspelled_kind_or_mistyped_header_names_its_line(self, tmp_path, capsys, line,
+                                                                  key, value, detail):
+        manifest = self.make_manifest(tmp_path)
+        lines = json_lines(manifest)
+        lines[line - 1][key] = value
+        assert self.replay_rewritten(manifest, lines, capsys) == (
+            1, ("", f"error: manifest {manifest} line {line}: {detail}\n"))
+
+    @pytest.mark.parametrize("combiner, gating, detail", [
+        ("mice-s", None, "gating null under combiner mice-s"),
+        ("kate", None, "gating null under combiner kate"),
+        ("product", {"0": 1.0}, "gating weights under combiner product"),
+    ], ids=["mice-s-null", "kate-null", "product-weights"])
+    def test_a_gating_that_does_not_fit_the_combiner_names_its_line(self, tmp_path, capsys,
+                                                                     combiner, gating, detail):
+        manifest = tmp_path / "manifest.jsonl"
+        argv = resolve_args("--seed", "1", "--manifest", str(manifest), "--combiner", combiner)
+        assert run(argv) == 0
+        lines = json_lines(manifest)
+        lines[1]["gating"] = gating
+        assert self.replay_rewritten(manifest, lines, capsys) == (
+            1, ("", f"error: manifest {manifest} line 2: {detail}\n"))
+
 
 @pytest.mark.parametrize(
     "field, value",
@@ -1086,6 +1146,17 @@ def test_malformed_input_file_is_exit_one(tmp_path, capsys, flag, case):
     assert err.startswith(f"error: {what} {path}{where}: "), err
     assert "Traceback" not in err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", list(WRONG_SHAPES))
+def test_a_value_that_is_not_a_json_object_reads_alike(tmp_path, capsys, flag):
+    what, jsonl, argv = INPUT_FLAGS[flag]
+    content = WRONG_SHAPES[flag]["wrong-type"]
+    path = written(tmp_path / f"input.{flag}", content + "\n")
+    assert run(argv(path)) == 1
+    where = " line 1" if jsonl else ""
+    assert capsys.readouterr().err == (
+        f"error: {what} {path}{where}: expected a JSON object, not {json.loads(content)!r}\n")
 
 
 def json_lines(path):
