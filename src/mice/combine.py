@@ -24,7 +24,6 @@ from .gateway import (
     DecodeParams,
     Generation,
     Tokenizer,
-    answer_slot_starts,
     complete_many,
 )
 from .gating import GatingDistribution
@@ -56,10 +55,6 @@ class PromptPrediction:
     degraded: bool = False
 
 
-def _raw_segments(first_line: str, separator: str) -> list[str]:
-    return [s for s in (seg.strip() for seg in first_line.split(separator)) if s]
-
-
 def extract_prediction(
     generation: Generation,
     template: Template,
@@ -68,19 +63,18 @@ def extract_prediction(
 ) -> PromptPrediction:
     """Parse one generation into surfaces plus per-slot distributions.
 
-    Each token that opens an answer slot (see ``answer_slot_starts``)
+    Each token that opens an answer slot (see ``Template.slot_starts``)
     contributes its top-probability map. A walk that does not yield one
-    map per raw answer segment marks the prediction degraded and pads
+    map per non-empty answer segment marks the prediction degraded and pads
     with empty maps.
     """
-    first_line = generation.text.split("\n", 1)[0]
-    raw = _raw_segments(first_line, template.separator)
+    raw = [s for s in template.segments(generation.text) if s]
     canonical = [canonicalize(s) for s in raw]
     seen: set[str] = set()
     distinct = tuple(s for s in canonical if not (s in seen or seen.add(s)))
     slots: list[Mapping[str, float]] = [
         dict(generation.top_probs[i]) if i < len(generation.top_probs) else {}
-        for i in answer_slot_starts(generation.tokens, template.separator)
+        for i in template.slot_starts(generation.tokens)
     ]
     degraded = len(slots) != len(raw)
     slots = slots[: len(raw)] + [{} for _ in range(len(raw) - len(slots))]

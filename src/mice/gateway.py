@@ -146,25 +146,6 @@ class Generation:
                     raise ValueError(f"probability of {tok!r} out of range: {p}")
 
 
-def answer_slot_starts(tokens: Sequence[str], separator: str) -> list[int]:
-    """Positions of the tokens that open an answer slot on the first line.
-
-    The first token, and the first token after each separator token, opens
-    a slot; the walk stops at the first token that contains a newline.
-    """
-    starts: list[int] = []
-    expecting = True
-    for i, token in enumerate(tokens):
-        if "\n" in token:
-            break
-        if token.strip() == separator:
-            expecting = True
-        elif expecting:
-            starts.append(i)
-            expecting = False
-    return starts
-
-
 class Backend(Protocol):
     def complete(self, prompt: str, params: DecodeParams) -> Generation: ...
 
@@ -271,18 +252,22 @@ class MockBackend:
     Rules are tried in order; the first match wins. In greedy mode the
     scripted answer is returned verbatim. In nucleus mode the first token
     of each answer slot is re-sampled from that slot's scripted
-    distribution (seeded by the request), and the slot's surface is looked
-    up from ``slot_completions``.
+    distribution (seeded by the request): a draw of the scripted slot's own
+    first token keeps its surface, and any other is looked up from
+    ``slot_completions``. Answers are split and joined by ``template``,
+    ``Template()`` by default.
     """
 
     def __init__(
         self,
         entries: Sequence[ScriptedEntry],
-        separator: str = "|",
+        template=None,
         default_answer: str = "",
     ):
+        from .prompts import Template
+
         self._entries = list(entries)
-        self._separator = separator
+        self._template = template or Template()
         self._default = default_answer
         self._lock = threading.Lock()
         self.request_count = 0
@@ -302,7 +287,7 @@ class MockBackend:
         dists: list[Mapping[str, float]] = [{tok: 1.0} for tok in tokens]
         scripted = entry.slot_distributions if entry is not None else ()
         depth = params.logprob_depth
-        for i, full in zip(answer_slot_starts(tokens, self._separator), scripted):
+        for i, full in zip(self._template.slot_starts(tokens), scripted):
             ranked = sorted(full.items(), key=lambda kv: (-kv[1], kv[0]))
             dists[i] = dict(ranked[:depth] if depth else [])
         return Generation(text=text, tokens=tokens, top_probs=tuple(dists))
@@ -311,17 +296,12 @@ class MockBackend:
         self, entry: ScriptedEntry, params: DecodeParams
     ) -> str:
         rng = np.random.Generator(np.random.PCG64(params.seed or 0))
-        greedy_slots = [s.strip() for s in entry.answer.split(self._separator)]
-        pieces: list[str] = []
-        for i, slot_text in enumerate(greedy_slots):
-            if i < len(entry.slot_distributions):
-                tok = nucleus_sample(
-                    entry.slot_distributions[i], params.top_k, params.top_p, rng
-                )
-                pieces.append(entry.slot_completions.get(tok, tok))
-            else:
-                pieces.append(slot_text)
-        return f" {self._separator} ".join(pieces)
+        pieces = self._template.segments(entry.answer)
+        for i, dist in enumerate(entry.slot_distributions[: len(pieces)]):
+            tok = nucleus_sample(dist, params.top_k, params.top_p, rng)
+            if WordTokenizer().tokenize(pieces[i])[:1] != [tok]:  # else keep the slot's surface
+                pieces[i] = entry.slot_completions.get(tok, tok)
+        return self._template.linearize(pieces)
 
     def complete(self, prompt: str, params: DecodeParams) -> Generation:
         with self._lock:
@@ -377,8 +357,7 @@ class MockBackend:
             if mode != "scripted":
                 raise ValueError(f"unknown mock fixture mode: {mode}")
             entries = [entry(e) for e in fixture.entries]
-            return cls(entries, separator=template.separator,
-                       default_answer=fixture.default_answer.replace(*swap))
+            return cls(entries, template, fixture.default_answer.replace(*swap))
 
         return read_json(path, "mock fixture", decode)
 
@@ -400,7 +379,7 @@ class MockBackend:
                     slot_distributions=tuple({t: 1.0} for t in first_tokens),
                 )
             )
-        return cls(entries, separator=template.separator)
+        return cls(entries, template)
 
 
 def build_request(prompt: str, params: DecodeParams) -> dict:

@@ -59,7 +59,7 @@ _SCHEMA_V1 = "mice-manifest/1"
 # The streamed loop plans this many examples back to back, one group ahead.
 _PLAN_AHEAD = 8
 # Generation tokens come from the wire, so resolve and replay split each candidate's first
-# token and the separator with its tokenizer; replay, which has no other, counts with it too.
+# token with its tokenizer; replay, which has no other, counts with it too.
 _WIRE = WordTokenizer()
 
 
@@ -151,9 +151,6 @@ class Resolver:
         self.tokenizer = tokenizer or WordTokenizer()
         self.embedder = embedder or HashingEmbedder(config.embed_dim)
         template = config.template
-        # Extraction aligns answer slots on separator tokens.
-        if _WIRE.tokenize(template.separator) != [template.separator]:
-            raise ValueError(f"separator {template.separator!r} is not a single token")
         template.validate_against(sample)
         # The product rule multiplies one-demonstration experts, one per sampled demo.
         self._prompt_config = (
@@ -244,10 +241,11 @@ class Resolver:
 
         Returns the example's ``(prompt, params)`` requests and the finish
         step, which takes their generations by position, hands each prompt
-        its request's generation and runs ``_finish``. Prompts with the same
-        text share one request, except unseeded nucleus draws, which are
-        independent. kate-plus requests the seeded draws of its one KATE
-        prompt.
+        its request's generation and runs ``_finish``. Each position is a
+        prompt's text under ``config.decode``, or for kate-plus one seeded
+        draw of its one KATE prompt; positions with the same text and seed
+        share one request, except unseeded nucleus draws, which are
+        independent.
         """
         config = self.config
         combiner = config.combiner
@@ -262,29 +260,27 @@ class Resolver:
             prompts = enumerate_prompts(
                 self.sample, test, self._prompt_config, sims, config.template, self.tokenizer
             )
+        gating: Optional[GatingDistribution] = None
         if combiner is Combiner.KATE_PLUS:
-            requests = kate_plus_requests(
-                prompts[0].text, config.decode, config.kate_plus_samples
-            )
-            prompt_ids = tuple(range(len(requests)))
-            gating: Optional[GatingDistribution] = GatingDistribution.uniform(prompt_ids)
-            slots = prompt_ids
+            positions = kate_plus_requests(prompts[0].text, config.decode, config.kate_plus_samples)
+            prompt_ids = tuple(range(len(positions)))
+            gating = GatingDistribution.uniform(prompt_ids)
         else:
-            if combiner is Combiner.KATE:
-                gating = GatingDistribution.single(prompts[0].prompt_id)
-            elif combiner is Combiner.PRODUCT:
-                gating = None
-            else:
-                gating = gate(prompts, sims, config.gate_combine)
-            decode = config.decode
-            unseeded = decode.mode is DecodeMode.NUCLEUS and decode.seed is None
-            distinct: dict[tuple[str, Optional[int]], int] = {}
-            slots = tuple(
-                distinct.setdefault((p.text, i if unseeded else None), len(distinct))
-                for i, p in enumerate(prompts)
-            )
-            requests = [(text, decode) for text, _ in distinct]
+            positions = [(p.text, config.decode) for p in prompts]
             prompt_ids = tuple(p.prompt_id for p in prompts)
+            if combiner is Combiner.KATE:
+                gating = GatingDistribution.single(prompt_ids[0])
+            elif combiner is not Combiner.PRODUCT:
+                gating = gate(prompts, sims, config.gate_combine)
+        unseeded = config.decode.mode is DecodeMode.NUCLEUS and config.decode.seed is None
+        index: dict[tuple[str, Optional[int], Optional[int]], int] = {}  # request key -> slot
+        requests: list[tuple[str, DecodeParams]] = []
+        slots = []
+        for i, (text, params) in enumerate(positions):
+            slot = index.setdefault((text, params.seed, i if unseeded else None), len(requests))
+            if slot == len(requests):
+                requests.append((text, params))
+            slots.append(slot)
         return requests, lambda generations: _finish(
             test.key, _gold(test), prompt_ids, gating, [generations[s] for s in slots],
             config, self.tokenizer,
@@ -453,7 +449,8 @@ def _decode_header(line: dict) -> RunConfig:
     if schema not in (MANIFEST_SCHEMA, _SCHEMA_V1):
         raise ValueError(f"unsupported manifest schema: {schema!r}")
     if schema == _SCHEMA_V1:  # predates config.template; such runs used the default
-        line = {**line, "config": {**line["config"], "template": to_json(RunConfig.template)}}
+        config = from_json(dict, line["config"])
+        line = {**line, "config": {**config, "template": to_json(RunConfig.template)}}
     return from_json(_Header, line).config
 
 

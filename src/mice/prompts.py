@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DECODE_ERRORS, CorpusError, Example, KShotSample, seeded_prefix
-from .gateway import Tokenizer
+from .gateway import Tokenizer, WordTokenizer
 
 # Top-gated selection ranks universes up to this size; seeded-random
 # selection works at any size.
@@ -57,7 +57,11 @@ class Selection(str, Enum):
 
 @dataclass(frozen=True)
 class Template:
-    """The question-answering surface form shared by demonstrations and queries."""
+    """The question-answering surface form shared by demonstrations and queries.
+
+    It alone writes, splits, walks and checks the answer line, whose slot
+    walk aligns on a separator of one ``WordTokenizer`` token.
+    """
 
     question_pattern: str = "Question: What does {anaphor} contain?"
     answer_prefix: str = "Answer:"
@@ -70,6 +74,8 @@ class Template:
         except DECODE_ERRORS as exc:
             raise ValueError(f"question_pattern {self.question_pattern!r} must format with "
                              f"{{anaphor}} alone: {exc!r}") from exc
+        if WordTokenizer().tokenize(self.separator) != [self.separator]:
+            raise ValueError(f"separator {self.separator!r} is not a single token")
 
     def question(self, example: Example) -> str:
         return self.question_pattern.format(anaphor=example.anaphor.surface)
@@ -77,6 +83,28 @@ class Template:
     def linearize(self, surfaces: Sequence[str]) -> str:
         """Join antecedent surfaces into one answer line."""
         return f" {self.separator} ".join(surfaces)
+
+    def segments(self, answer: str) -> list[str]:
+        """The stripped pieces between separators on the first line, empty ones kept."""
+        return [piece.strip() for piece in answer.split("\n", 1)[0].split(self.separator)]
+
+    def slot_starts(self, tokens: Sequence[str]) -> list[int]:
+        """Positions of the tokens that open an answer slot on the first line.
+
+        The first token, and the first token after each separator token, opens
+        a slot; the walk stops at the first token that contains a newline.
+        """
+        starts: list[int] = []
+        expecting = True
+        for i, token in enumerate(tokens):
+            if "\n" in token:
+                break
+            if token.strip() == self.separator:
+                expecting = True
+            elif expecting:
+                starts.append(i)
+                expecting = False
+        return starts
 
     def render_example(self, example: Example, include_answer: bool) -> str:
         body = f"{example.text}\n{self.question(example)}\n{self.answer_prefix}"

@@ -170,7 +170,7 @@ class NoisyOracleBackend:
     def complete(self, prompt: str, params: DecodeParams) -> Generation:
         self.request_count += 1
         surfaces = self.answer_for(prompt)
-        text = f" {self._template.separator} ".join(surfaces)
+        text = self._template.linearize(surfaces)
         spans = self._tokenizer.span_tokenize(text)
         tokens = tuple(text[a:b] for a, b in spans)
         return Generation(

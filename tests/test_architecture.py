@@ -206,6 +206,15 @@ def test_a_manifest_line_is_read_through_its_record():
     }
 
 
+def test_only_the_template_knows_the_separator():
+    # Template writes, splits, walks and checks the answer line, so no other
+    # module splits, joins or checks a separator; the one other read is the
+    # mock fixture's swap of the default separator in its scripted answers.
+    uses = uses_by_module({"separator"})
+    assert sorted(uses) == ["gateway.py", "prompts.py"]
+    assert uses["gateway.py"] == {("from_fixture", "separator")}
+
+
 def test_no_python_level_thread_synchronization():
     # A semaphore, condition, event or barrier runs Python code (its
     # Condition's wait and notify) to acquire and release, on the pool's

@@ -358,11 +358,24 @@ class TestResolve:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["f1"] == 1.0
 
+    @pytest.mark.parametrize("extra", [
+        ("--combiner", "kate-plus", "--kp-samples", "16"),
+        ("--combiner", "mice-s"),
+        ("--combiner", "kate"),
+    ], ids=["kate-plus", "mice-s", "kate"])
+    def test_the_oracle_is_perfect_under_nucleus_decoding(self, capsys, extra):
+        # A nucleus draw of a gold slot's first token keeps the whole gold surface.
+        argv = ["resolve", "--corpus", str(FIXTURES / "synthetic_test.jsonl"), "--train", TRAIN,
+                "--k", "8", "--seed", "1", "--lm-mock", ECHO, "--decode", "nucleus", *extra]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["f1"] == 1.0
+
     def test_multi_token_separator_rejected(self, tmp_path, capsys):
         template = tmp_path / "template.json"
         template.write_text(json.dumps({"separator": "||"}), encoding="utf-8")
         assert run(resolve_args("--seed", "1", "--template", str(template))) == 1
-        assert "error: separator '||' is not a single token" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: template {template}: separator '||' is not a single token\n")
 
     def test_whole_split_backend_outage_is_exit_two(self, tmp_path, capsys, monkeypatch):
         class DownBackend:
@@ -520,7 +533,7 @@ GOLDEN_MANIFESTS = {
     "kate": (("--combiner", "kate"),
              "827d6fa72ce9db7b469658ad9b7b18e65e5f62e6f14807a61eb2d25acc3ffdfb"),
     "kate-plus": (("--combiner", "kate-plus", "--decode", "nucleus", "--kp-samples", "16"),
-                  "23203e1f423a1a1a2274fe58d42d2da8f60006cb6cd129a2c6f03a0406550cc9"),
+                  "4c44ffd4af9a1937127e0feac13676ef7c1557b9a6d080ff30ecab5ae46a184e"),
     "product": (("--combiner", "product"),
                 "0cc7a1502bbe33bce78a839f3c4358cb48cd2653759c40fd93a9489f384a89b9"),
     "mice-s-template": (("--template", "TEMPLATE"),
@@ -730,6 +743,22 @@ class TestReplay:
         lines[line - 1][key] = value
         assert self.replay_rewritten(manifest, lines, capsys) == (
             1, ("", f"error: manifest {manifest} line {line}: {detail}\n"))
+
+    @pytest.mark.parametrize("schema", ["mice-manifest/1", MANIFEST_SCHEMA])
+    def test_a_header_config_that_is_not_an_object_names_its_line(self, tmp_path, capsys,
+                                                                   schema):
+        manifest = self.make_manifest(tmp_path)
+        lines = json_lines(manifest)
+        lines[0].update(schema=schema, config=[1])
+        assert self.replay_rewritten(manifest, lines, capsys) == (
+            1, ("", f"error: manifest {manifest} line 1: expected a JSON object, not [1]\n"))
+
+    def test_a_multi_token_separator_in_a_header_names_its_line(self, tmp_path, capsys):
+        manifest = self.make_manifest(tmp_path)
+        lines = json_lines(manifest)
+        lines[0]["config"]["template"]["separator"] = "||"
+        assert self.replay_rewritten(manifest, lines, capsys) == (
+            1, ("", f"error: manifest {manifest} line 1: separator '||' is not a single token\n"))
 
     @pytest.mark.parametrize("combiner, gating, detail", [
         ("mice-s", None, "gating null under combiner mice-s"),

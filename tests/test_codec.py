@@ -43,7 +43,8 @@ templates = st.builds(
     question_pattern=st.text(st.characters(blacklist_characters="{}")).map(
         lambda t: t + "{anaphor}"),
     answer_prefix=texts,
-    separator=texts,
+    # A separator is one WordTokenizer token: a word, or one other non-space character.
+    separator=st.from_regex(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]", fullmatch=True),
     demonstration_joiner=texts,
 )
 

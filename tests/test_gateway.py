@@ -27,7 +27,6 @@ from mice.gateway import (
     RequestPool,
     ScriptedEntry,
     WordTokenizer,
-    answer_slot_starts,
     build_request,
     complete_many,
     nucleus_filter,
@@ -95,7 +94,7 @@ class TestGeneration:
         ],
     )
     def test_answer_slot_starts(self, tokens, starts):
-        assert answer_slot_starts(tokens, "|") == starts
+        assert Template().slot_starts(tokens) == starts
 
 
 class TestNucleusFilter:

@@ -1,4 +1,5 @@
 """Prompt templating, demonstration-tuple universes, and budget packing."""
+import re
 import tracemalloc
 from functools import cache
 from itertools import permutations, product
@@ -126,6 +127,28 @@ class TestTemplate:
     def test_parse_linearize_round_trip_property(self, surfaces):
         template = Template()
         assert parse(template, template.linearize(surfaces)) == surfaces
+
+    @given(st.data())
+    def test_the_answer_line_reads_back_what_linearize_wrote(self, data):
+        separator = data.draw(st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True))
+        surfaces = data.draw(st.lists(
+            st.text(st.characters(blacklist_characters="\n"), max_size=12).filter(
+                lambda s: separator not in s),
+            min_size=1, max_size=5))
+        template = Template(separator=separator)
+        line = template.linearize(surfaces)
+        assert template.segments(line) == [s.strip() for s in surfaces]
+        # Each surface's tokens follow the tokens and separators before it.
+        counts = [TOK.count(s) for s in surfaces]
+        firsts = [sum(counts[:j]) + j for j, n in enumerate(counts) if n]
+        tokens = TOK.tokenize(line)
+        assert template.slot_starts(tokens) == firsts
+        assert [tokens[i] for i in firsts] == [TOK.tokenize(s)[0] for s in surfaces if s.strip()]
+
+    @pytest.mark.parametrize("separator", ["||", " | ", "", "a b", "x|"])
+    def test_a_separator_of_more_or_less_than_one_token_is_refused(self, separator):
+        with pytest.raises(ValueError, match=re.escape(f"separator {separator!r} is not a single")):
+            Template(separator=separator)
 
     def test_validate_against_rejects_separator_in_answers(self):
         sample = sample_kshot(make_dataset(2), k=2, seed=0)
