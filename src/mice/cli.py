@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -291,8 +291,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError("pass exactly one of --docs or --corpus")
     if args.corpus:
         report = evaluate_rules(load_corpus(args.corpus), rules)
-        payload = to_json(report, omit=("per_example",))
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_pretty(to_json(report, omit=("per_example",))))
         return 0
     docs = load_unlabeled_docs(args.docs)
     lines = []
@@ -361,58 +360,48 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     _check_outputs(args.report, *(_seeded_path(path, seed, multi) for seed in seeds
                                   for path in (args.manifest, args.predictions) if path))
     test = load_corpus(args.corpus)
+    rows, failures = [], []
     with contextlib.ExitStack() as clients:
-        outcomes = [_resolve_seed(args, resolver, test, multi)
-                    for resolver in _resolvers(args, seeds, clients)]
-    rows = [row for row, _, _ in outcomes if row]
-    failures = [failure for _, failure, _ in outcomes if failure]
-    output = outcomes[-1][2]
+        for resolver in _resolvers(args, seeds, clients):
+            seed, result = resolver.sample.seed, resolver.resolve_split(test)
+            logger.info("seed %d: %d prompts", seed, result.request_count)
+            if args.manifest:
+                write_manifest(result, resolver.config, resolver.sample,
+                               _seeded_path(args.manifest, seed, multi), split_name=test.split_name)
+            if args.predictions:
+                _seeded_path(args.predictions, seed, multi).write_text(
+                    _pretty(result.predictions) + "\n", encoding="utf-8")
+            if (rep := result.report) is not None:
+                rows.append({"seed": seed, "f1": rep.f1, "precision": rep.precision,
+                             "recall": rep.recall})
+            if result.results and result.backend_failures == len(result.results):
+                failures.append(f"all {len(result.results)} examples failed with seed {seed}, "
+                                f"the first with: {result.results[0].error}")
+            output = "" if multi else _split_output(result)
+            del result, rep  # one seed's split at a time: drop it before the next resolves
     if multi:
         payload: dict = {"seeds": seeds, "runs": rows}
         if rows:
             f1s = np.array([row["f1"] for row in rows])
             payload["mean_f1"] = float(f1s.mean())
             payload["std_f1"] = float(f1s.std())
-        output = json.dumps(payload, sort_keys=True, indent=2)
+        output = _pretty(payload)
     _emit(output, args.report)
     if failures:
         raise BackendError(failures[0])
     return 0
 
 
-def _resolve_seed(args: argparse.Namespace, resolver: Resolver, test: Dataset,
-                  multi: bool) -> tuple[Optional[dict], Optional[str], str]:
-    """Resolve ``test`` with one seed's resolver and write its files. Returns its
-    report row, the failure if every example failed, and, for one seed, its output."""
-    seed = resolver.sample.seed
-    result = resolver.resolve_split(test)
-    logger.info("seed %d: %d prompts", seed, result.request_count)
-    if args.manifest:
-        write_manifest(result, resolver.config, resolver.sample,
-                       _seeded_path(args.manifest, seed, multi), split_name=test.split_name)
-    if args.predictions:
-        _seeded_path(args.predictions, seed, multi).write_text(
-            json.dumps(result.predictions, sort_keys=True, indent=2,
-                       ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-    rep = result.report
-    row = None if rep is None else {"seed": seed, "f1": rep.f1, "precision": rep.precision,
-                                    "recall": rep.recall}
-    failure = None
-    if result.results and result.backend_failures == len(result.results):
-        failure = (f"all {len(result.results)} examples failed with seed {seed}, "
-                   f"the first with: {result.results[0].error}")
-    return row, failure, "" if multi else _split_output(result)
-
-
 def _split_output(result: SplitResult) -> str:
     """The score report, or the predictions of an unlabeled split."""
     if result.report is not None:
         return result.report.to_json()
-    return json.dumps({"note": "unlabeled split; no scores",
-                       "predictions": result.predictions},
-                      sort_keys=True, indent=2, ensure_ascii=False)
+    return _pretty({"note": "unlabeled split; no scores", "predictions": result.predictions})
+
+
+def _pretty(value: Any) -> str:
+    """``value`` as JSON with sorted keys, indented two spaces, its text not escaped."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def _emit(out: str, report_path: Optional[str]) -> None:
@@ -454,11 +443,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
             raise UsageError(f"{exc} (--unlabeled {args.unlabeled})") from exc
     export_records(records, args.out, args.format)
     if args.drops:
-        Path(args.drops).write_text(
-            json.dumps(drop_log.entries, sort_keys=True, indent=2,
-                       ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.drops).write_text(_pretty(drop_log.entries) + "\n", encoding="utf-8")
     print(json.dumps({"records": len(records), "dropped_surfaces": len(drop_log.entries),
                       "out": args.out}, sort_keys=True))
     return 0

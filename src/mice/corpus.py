@@ -7,8 +7,8 @@ A corpus is a JSONL file with one object per anaphor example:
      "antecedents": [{"start": int, "end": int}, ...]}
 
 Offsets are 0-based character offsets counting Unicode scalar values,
-``start`` inclusive and ``end`` exclusive. ``antecedents`` may be absent
-for unlabeled data.
+``start`` inclusive and ``end`` exclusive. ``antecedents`` is absent on
+every line of an unlabeled corpus, and only there.
 """
 from __future__ import annotations
 
@@ -272,7 +272,8 @@ class KShotSample:
 _text, _spans = _codec(str)[1], _codec(Optional[list])[1]
 
 
-def _example_from_record(keys: set[str], record: dict) -> Example:
+def _example_from_record(seen: dict[str, bool], record: dict) -> Example:
+    """One line's example; ``seen`` maps each earlier key to whether it is labeled."""
     text, antecedents = _text(record["text"]), _spans(record.get("antecedents"))
 
     def span(offsets: dict) -> Span:
@@ -284,18 +285,24 @@ def _example_from_record(keys: set[str], record: dict) -> Example:
     example = Example(_text(record["doc_id"]), text, span(record["anaphor"]),
                       None if antecedents is None else tuple(map(span, antecedents)))
     example.validate()
-    if (key := example.key) in keys:
+    if (key := example.key) in seen:
         raise CorpusError(f"duplicate anaphor key {key}")
-    keys.add(key)
+    if seen and (labeled := example.is_labeled) != next(iter(seen.values())):
+        raise CorpusError(f"example {'has' if labeled else 'has no'} antecedents, "
+                          "unlike the file's first example")
+    seen[key] = example.is_labeled
     return example
 
 
 def load_corpus(path: str | Path, split_name: Optional[str] = None) -> Dataset:
-    """Load and validate a corpus JSONL file, preserving line order."""
+    """Load and validate a corpus JSONL file, preserving line order. The file
+    holds at least one example, and either every example is labeled or none is."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
-    examples = read_json(path, "corpus", partial(_example_from_record, set()), lines=True)
+    examples = read_json(path, "corpus", partial(_example_from_record, {}), lines=True)
+    if not examples:
+        raise CorpusError(f"corpus {path}: holds no examples")
     return Dataset(examples=tuple(examples), split_name=split_name or path.stem)
 
 

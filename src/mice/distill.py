@@ -18,7 +18,7 @@ from typing import Callable, Generator, Optional, Sequence
 
 from .corpus import CorpusError, Example, Span, from_json, read_json, to_json
 from .detector import RuleSet, detect_examples
-from .gateway import Tokenizer, WordTokenizer
+from .gateway import WORDS, Tokenizer
 from .pipeline import ResolutionResult
 
 logger = logging.getLogger(__name__)
@@ -203,7 +203,6 @@ def generate_pseudo_labels(
     result or the error that failed it. The first error is raised after the
     completed records are written to ``checkpoint_path`` (if given).
     """
-    tokenizer = WordTokenizer()
     pending: list[Example] = []
     for doc_id, text in docs:
         pending.extend(detect_examples(doc_id, text, rules))
@@ -219,7 +218,7 @@ def generate_pseudo_labels(
                 if isinstance(result, Exception):
                     raise result
                 predictions = [(c.surface, c.combined_prob) for c in result.final]
-                records.append(build_record(example, predictions, tokenizer, drop_log))
+                records.append(build_record(example, predictions, WORDS, drop_log))
     except Exception:
         if checkpoint_path is not None and records:
             export_records(records, checkpoint_path, "jsonl")

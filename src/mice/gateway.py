@@ -75,6 +75,10 @@ class WordTokenizer:
         return len(_TOKEN_RE.findall(text))
 
 
+# The one WordTokenizer; it is stateless, so every module shares it.
+WORDS = WordTokenizer()
+
+
 class DecodeMode(str, Enum):
     GREEDY = "greedy"
     NUCLEUS = "nucleus"
@@ -207,7 +211,7 @@ def _truncate_generation(text: str, params: DecodeParams) -> tuple[str, tuple[st
         pos = text.find(stop)
         if pos != -1:
             cut = min(cut, pos)
-    spans = WordTokenizer().span_tokenize(text[:cut])
+    spans = WORDS.span_tokenize(text[:cut])
     if len(spans) > params.max_tokens:
         spans = spans[: params.max_tokens]
         cut = spans[-1][1]
@@ -299,7 +303,7 @@ class MockBackend:
         pieces = self._template.segments(entry.answer)
         for i, dist in enumerate(entry.slot_distributions[: len(pieces)]):
             tok = nucleus_sample(dist, params.top_k, params.top_p, rng)
-            if WordTokenizer().tokenize(pieces[i])[:1] != [tok]:  # else keep the slot's surface
+            if WORDS.tokenize(pieces[i])[:1] != [tok]:  # else keep the slot's surface
                 pieces[i] = entry.slot_completions.get(tok, tok)
         return self._template.linearize(pieces)
 
@@ -364,14 +368,13 @@ class MockBackend:
     @classmethod
     def oracle_echo(cls, dataset, template) -> "MockBackend":
         """A mock that answers each known example's prompt with its gold antecedents."""
-        tok = WordTokenizer()
         entries = []
         for ex in dataset:
             if not ex.is_labeled:
                 continue
             suffix = template.render_example(ex, include_answer=False)
             answer = template.linearize(ex.gold_surfaces())
-            first_tokens = [tok.tokenize(s)[0] for s in ex.gold_surfaces()]
+            first_tokens = [WORDS.tokenize(s)[0] for s in ex.gold_surfaces()]
             entries.append(
                 ScriptedEntry(
                     answer=answer,

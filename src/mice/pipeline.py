@@ -29,6 +29,7 @@ from .combine import (
 )
 from .corpus import CorpusError, Dataset, Example, KShotSample, from_json, read_json, to_json
 from .gateway import (
+    WORDS,
     Backend,
     BackendError,
     DecodeMode,
@@ -36,7 +37,6 @@ from .gateway import (
     Generation,
     RequestPool,
     Tokenizer,
-    WordTokenizer,
     complete_many,
 )
 from .gating import Embedder, GatingDistribution, HashingEmbedder, gate, row_norms, similarities
@@ -58,9 +58,6 @@ _SCHEMA_V1 = "mice-manifest/1"
 
 # The streamed loop plans this many examples back to back, one group ahead.
 _PLAN_AHEAD = 8
-# Generation tokens come from the wire, so resolve and replay split each candidate's first
-# token with its tokenizer; replay, which has no other, counts with it too.
-_WIRE = WordTokenizer()
 
 
 class Combiner(str, Enum):
@@ -148,7 +145,7 @@ class Resolver:
         self.config = config
         self.sample = sample
         self.backend = backend
-        self.tokenizer = tokenizer or WordTokenizer()
+        self.tokenizer = tokenizer or WORDS
         self.embedder = embedder or HashingEmbedder(config.embed_dim)
         template = config.template
         template.validate_against(sample)
@@ -305,23 +302,25 @@ def _finish(
     Resolution and replay both end here, so a replayed manifest goes
     through the very code that produced it. Positions that share one
     ``Generation`` object share its extraction, each under its own prompt id.
+    Generation tokens come from the wire, so each candidate's first token is
+    split with ``WORDS``; ``tokenizer`` counts only for the postfilter.
     """
     extracted: dict[int, PromptPrediction] = {}
     predictions = []
     for pid, gen in zip(prompt_ids, generations, strict=True):
         if id(gen) not in extracted:
-            extracted[id(gen)] = extract_prediction(gen, config.template, _WIRE, prompt_id=pid)
+            extracted[id(gen)] = extract_prediction(gen, config.template, WORDS, prompt_id=pid)
         p = extracted[id(gen)]
         predictions.append(p if p.prompt_id == pid else replace(p, prompt_id=pid))
     combiner = config.combiner
     if combiner is Combiner.MICE:
-        candidates = combine_mice(predictions, gating, _WIRE)
+        candidates = combine_mice(predictions, gating, WORDS)
     elif combiner in (Combiner.MICE_S, Combiner.KATE_PLUS):
-        candidates = combine_mice_sample(predictions, gating, _WIRE)
+        candidates = combine_mice_sample(predictions, gating, WORDS)
     elif combiner is Combiner.KATE:
-        candidates = combine_single(predictions[0], _WIRE)
+        candidates = combine_single(predictions[0], WORDS)
     else:
-        candidates = combine_product(predictions, _WIRE)
+        candidates = combine_product(predictions, WORDS)
     final = filter_and_merge(candidates, config.filters, tokenizer)
     return ResolutionResult(
         key=key,
@@ -476,5 +475,5 @@ def _replay_entry(line: dict, config: RunConfig) -> ResolutionResult:
         raise ValueError(f"gating has no weight for prompt id {unweighted[0]}")
     return _finish(
         entry.key, entry.gold, prompt_ids, gating,
-        [decoded[distinct.index(generation)] for generation in stored], config, _WIRE,
+        [decoded[distinct.index(generation)] for generation in stored], config, WORDS,
     )

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DECODE_ERRORS, CorpusError, Example, KShotSample, seeded_prefix
-from .gateway import Tokenizer, WordTokenizer
+from .gateway import WORDS, Tokenizer
 
 # Top-gated selection ranks universes up to this size; seeded-random
 # selection works at any size.
@@ -74,7 +74,7 @@ class Template:
         except DECODE_ERRORS as exc:
             raise ValueError(f"question_pattern {self.question_pattern!r} must format with "
                              f"{{anaphor}} alone: {exc!r}") from exc
-        if WordTokenizer().tokenize(self.separator) != [self.separator]:
+        if WORDS.tokenize(self.separator) != [self.separator]:
             raise ValueError(f"separator {self.separator!r} is not a single token")
 
     def question(self, example: Example) -> str:

@@ -215,6 +215,15 @@ def test_only_the_template_knows_the_separator():
     assert uses["gateway.py"] == {("from_fixture", "separator")}
 
 
+def test_one_word_tokenizer():
+    # gateway.WORDS is the package's one WordTokenizer: the mock, the generation
+    # cut, the template's separator check, the resolver's default, extraction and
+    # the pseudo-label aligner all share it.
+    assert uses_by_module({"WordTokenizer"}, calls_only=True) == {
+        "gateway.py": {("<module>", "WordTokenizer")},
+    }
+
+
 def test_no_python_level_thread_synchronization():
     # A semaphore, condition, event or barrier runs Python code (its
     # Condition's wait and notify) to acquire and release, on the pool's

@@ -189,6 +189,24 @@ class TestResolve:
         assert (tmp_path / "run.seed2.jsonl").exists()
         assert not manifest.exists()
 
+    def test_a_seed_sweep_writes_what_each_seed_writes_alone(self, tmp_path, capsys):
+        sweep, alone = tmp_path / "sweep", tmp_path / "alone"
+        sweep.mkdir()
+        alone.mkdir()
+        assert run(resolve_args("--seeds", "1,2", "--manifest", str(sweep / "run.jsonl"),
+                                "--predictions", str(sweep / "preds.json"))) == 0
+        for seed in (1, 2):
+            assert run(resolve_args(
+                "--seed", str(seed), "--manifest", str(alone / f"run.seed{seed}.jsonl"),
+                "--predictions", str(alone / f"preds.seed{seed}.json"))) == 0
+        capsys.readouterr()
+        names = sorted(path.name for path in sweep.iterdir())
+        assert names == ["preds.seed1.json", "preds.seed2.json",
+                         "run.seed1.jsonl", "run.seed2.jsonl"]
+        assert sorted(path.name for path in alone.iterdir()) == names
+        for name in names:
+            assert (sweep / name).read_bytes() == (alone / name).read_bytes(), name
+
     def test_a_seed_sweep_holds_one_split_at_a_time(self, monkeypatch, capsys):
         resolve_split = Resolver.resolve_split
         splits = []
@@ -982,15 +1000,64 @@ def test_a_negative_seed_names_its_flag(tmp_path, capsys, command, flag, error):
 @pytest.mark.parametrize("command", ["sample", "resolve", "distill"])
 def test_a_train_corpus_smaller_than_k_is_named(tmp_path, capsys, command):
     train = tmp_path / "train.jsonl"
-    train.write_text("", encoding="utf-8")
+    train.write_text(Path(TRAIN).read_text(encoding="utf-8").splitlines()[0] + "\n",
+                     encoding="utf-8")
     argv = {
-        "sample": ["sample", "--train", str(train), "--k", "1", "--seed", "1"],
-        "resolve": ["resolve", "--corpus", CLI_TEST, "--train", str(train), "--k", "1",
+        "sample": ["sample", "--train", str(train), "--k", "2", "--seed", "1"],
+        "resolve": ["resolve", "--corpus", CLI_TEST, "--train", str(train), "--k", "2",
                     "--seed", "1", "--lm-mock", ECHO],
-        "distill": TestDistill().distill_args(tmp_path, "--train", str(train), "--k", "1"),
+        "distill": TestDistill().distill_args(tmp_path, "--train", str(train), "--k", "2"),
     }[command]
     assert run(argv) == 1
-    assert capsys.readouterr() == ("", f"error: k=1 exceeds dataset size 0 (--train {train})\n")
+    assert capsys.readouterr() == ("", f"error: k=2 exceeds dataset size 1 (--train {train})\n")
+
+
+def corpus_argv(command, corpus, tmp_path):
+    """A run of ``command`` that reads ``corpus`` as its corpus, test split or training set."""
+    predictions = tmp_path / "predictions.json"
+    predictions.write_text("{}", encoding="utf-8")
+    return {
+        "resolve --corpus": ["resolve", "--corpus", corpus, "--train", TRAIN, "--k", "4",
+                             "--seed", "1", "--lm-mock", ECHO],
+        "resolve --train": ["resolve", "--corpus", CLI_TEST, "--train", corpus, "--k", "4",
+                            "--seed", "1", "--lm-mock", ECHO],
+        "eval --corpus": ["eval", "--predictions", str(predictions), "--corpus", corpus],
+        "detect --corpus": ["detect", "--corpus", corpus],
+        "sample --train": ["sample", "--train", corpus, "--k", "1", "--seed", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["resolve --corpus", "eval --corpus", "resolve --train"])
+def test_a_corpus_is_labeled_throughout_or_not_at_all(tmp_path, capsys, command):
+    # A misspelt "antecedents" on one line would read that example as unlabeled.
+    source = TRAIN if command.endswith("--train") else str(FIXTURES / "synthetic_test.jsonl")
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"antecedents"', '"antecedent"')
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(corpus_argv(command, str(corpus), tmp_path)) == 1
+    assert capsys.readouterr() == ("", f"error: corpus {corpus} line 2: example has no "
+                                       "antecedents, unlike the file's first example\n")
+
+
+def test_a_labeled_line_in_an_unlabeled_corpus_is_named(tmp_path, capsys):
+    first, second = Path(CLI_TEST).read_text(encoding="utf-8").splitlines()[:2]
+    record = json.loads(first)
+    del record["antecedents"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(f"{json.dumps(record)}\n\n{second}\n", encoding="utf-8")
+    assert run(["detect", "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr() == ("", f"error: corpus {corpus} line 3: example has "
+                                       "antecedents, unlike the file's first example\n")
+
+
+@pytest.mark.parametrize(
+    "command", ["resolve --corpus", "eval --corpus", "detect --corpus", "sample --train"])
+def test_an_empty_corpus_is_refused(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n", encoding="utf-8")
+    assert run(corpus_argv(command, str(corpus), tmp_path)) == 1
+    assert capsys.readouterr() == ("", f"error: corpus {corpus}: holds no examples\n")
 
 
 def test_unlabeled_docs_with_too_few_anaphors_are_named(tmp_path, capsys):
